@@ -19,13 +19,24 @@ only branches that provably cannot succeed:
   keep its variable role there, since a fresh constant can never equal a
   proper term or a different atom;
 * variables occurring in only one of the two split problem sets take the
-  role that leaves them flexible, the other role being strictly weaker.
+  role that leaves them flexible, the other role being strictly weaker;
+* the pure-part precheck: before any identification is enumerated, the
+  standard and xor parts of the purified problem set are solved as they
+  stand.  Every branch grounds an instance of these parts (identification
+  renames variables into one another, grounding replaces variables by free
+  constants), and a unifier of an instance composed with the instantiation
+  unifies the original, so a part without a unifier fails every branch;
+* the per-partition precheck: for each identification, the xor part with
+  the variables every split keeps in V1 replaced by fresh constants, and
+  the standard part as it stands, are solved before any split is
+  enumerated.  Every split's grounded sets are instances of these, up to
+  renaming the fresh constants, so a failure here fails every split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .acun import unify_acun
 from .terms import (
@@ -58,18 +69,17 @@ class BscaConfig:
     """Caps and switches for the combined solver's choice-space enumeration.
 
     ``max_partition_vars`` bounds the number of variables the variable
-    identification step may enumerate partitions over; ``max_orders`` bounds
-    the linear orders considered per branch; ``max_branches`` bounds the
-    total number of (partition, split) attempts.  ``full_identification``
-    False restricts identification to variables occurring in xor problems,
-    which preserves unifiability (merging variables never rescues the
-    standard side and only xor-side merges enable new cancellations) and is
-    what the theorem harness runs with.  ``first_only`` stops at the first
-    verified unifier.
+    identification step may enumerate partitions over; ``max_branches``
+    bounds the total number of (partition, split) attempts.  Linear orders
+    are not enumerated: each branch merges along one dependency order.
+    ``full_identification`` False restricts identification to variables
+    occurring in xor problems, which preserves unifiability (merging
+    variables never rescues the standard side and only xor-side merges
+    enable new cancellations) and is what the theorem harness runs with.
+    ``first_only`` stops at the first verified unifier.
     """
 
     max_partition_vars: int = 9
-    max_orders: int = 40320
     max_branches: int = 100_000
     full_identification: bool = True
     prune: bool = True
@@ -396,6 +406,34 @@ class SplitAttempt:
     sigma2: Substitution | None
 
 
+class _Roles(NamedTuple):
+    """Variable roles of one identified problem set, split by theory."""
+
+    vars41: frozenset[str]
+    vars42: frozenset[str]
+    fixed1: frozenset[str]  # in V1 on every split
+    fixed2: frozenset[str]  # in V2 on every split
+    choice: list[str]  # enumerated both ways, in sorted order
+
+
+def _variable_roles(g41: list[Problem], g42: list[Problem], prune: bool) -> _Roles:
+    vars41 = problem_vars(g41)
+    vars42 = problem_vars(g42)
+    all_vars = sorted(vars41 | vars42)
+    if not prune:
+        return _Roles(vars41, vars42, frozenset(), frozenset(), all_vars)
+    forced1 = {
+        a.name
+        for p in g41
+        for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs))
+        if isinstance(a, Var) and not isinstance(b, Var)
+    }
+    fixed1 = (vars41 - vars42) | forced1
+    fixed2 = vars42 - vars41 - forced1
+    choice = [v for v in all_vars if v not in fixed1 and v not in fixed2]
+    return _Roles(vars41, vars42, fixed1, fixed2, choice)
+
+
 def solve_systems(
     g41: Iterable[Problem],
     g42: Iterable[Problem],
@@ -411,23 +449,8 @@ def solve_systems(
     """
     g41 = list(g41)
     g42 = list(g42)
-    vars41 = set().union(*(vars_of(p.lhs) | vars_of(p.rhs) for p in g41)) if g41 else set()
-    vars42 = set().union(*(vars_of(p.lhs) | vars_of(p.rhs) for p in g42)) if g42 else set()
+    vars41, vars42, fixed1, fixed2, choice = _variable_roles(g41, g42, cfg.prune)
     all_vars = sorted(vars41 | vars42)
-
-    if cfg.prune:
-        forced1 = {
-            a.name
-            for p in g41
-            for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs))
-            if isinstance(a, Var) and not isinstance(b, Var)
-        }
-        fixed1 = (vars41 - vars42) | forced1
-        fixed2 = vars42 - vars41 - forced1
-        choice = [v for v in all_vars if v not in fixed1 and v not in fixed2]
-    else:
-        fixed1, fixed2 = set(), set()
-        choice = list(all_vars)
 
     taken_base = set(taken_consts)
     for p in g41 + g42:
@@ -452,6 +475,22 @@ def solve_systems(
             acun_result = unify_acun(gamma52)
             sigma2 = acun_result[0] if acun_result else None
         yield SplitAttempt(tuple(v1), tuple(v2), beta, gamma51, gamma52, sigma1, sigma2)
+
+
+def _some_split_may_unify(
+    g41: list[Problem], g42: list[Problem], taken_consts: set[str]
+) -> bool:
+    """Per-partition precheck: False when no pruned split of this split
+    problem set can succeed (see the module docstring for the argument).
+    The xor side runs first: it is the cheaper solve and fails more often."""
+    roles = _variable_roles(g41, g42, prune=True)
+    taken = set(taken_consts)
+    ground = Substitution({
+        v: Const(fresh_const_name(v, taken)) for v in sorted(roles.fixed1 & roles.vars42)
+    })
+    if not unify_acun([ground.apply_problem(p) for p in g42]):
+        return False
+    return unify_std(g41) is not None
 
 
 def _unbeta(t: Term, inverse: dict[str, str]) -> Term:
@@ -599,12 +638,17 @@ def unify_combined(
         lc, rc = _side_class(p.lhs), _side_class(p.rhs)
         if lc is not None and rc is not None and lc != rc:
             raise AssertionError(f"cross-theory problem after purification: {p!r}")
-    scope = None if cfg.full_identification else _xor_scope(gamma2)
-
     unifiers: list[Substitution] = []
     traces: list[BscaTrace] = []
+    if cfg.prune:
+        pure_std, pure_xor = split_problems(gamma2)
+        if unify_std(pure_std) is None or not unify_acun(pure_xor):
+            return CombinedResult(unifiers, traces)
+    scope = None if cfg.full_identification else _xor_scope(gamma2)
+
     seen: set = set()
     branches = 0
+    # purification adds no constants, so these names hold for every partition
     taken_consts: set[str] = set()
     for p in probs:
         taken_consts |= const_names_of(p.lhs) | const_names_of(p.rhs)
@@ -612,6 +656,8 @@ def unify_combined(
     for partition, gamma3 in variable_identifications(gamma2, cfg, scope):
         rep = {v: b[0] for b in partition for v in b}
         g41, g42 = split_problems(gamma3)
+        if cfg.prune and not _some_split_may_unify(g41, g42, taken_consts):
+            continue
         for attempt in solve_systems(g41, g42, cfg, taken_consts):
             branches += 1
             if branches > cfg.max_branches:

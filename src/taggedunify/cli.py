@@ -6,7 +6,7 @@ text via ``-e``.  Exit codes: 0 success/unifiable/satisfied, 1 negative
 result, 2 input error, 3 enumeration caps hit.
 
 The environment variable ``TAGGEDUNIFY_CAPS`` overrides enumeration caps,
-e.g. ``TAGGEDUNIFY_CAPS="partition-vars=12,branches=50000,orders=5040"``.
+e.g. ``TAGGEDUNIFY_CAPS="partition-vars=12,branches=50000"``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ EXIT_CAPS = 3
 
 _CAP_KEYS = {
     "partition-vars": "max_partition_vars",
-    "orders": "max_orders",
     "branches": "max_branches",
 }
 
@@ -273,6 +272,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bsca import BscaConfig, ChoiceSpaceExceeded, unify_combined
 from .dnut import dnut_check, dnut_tag
@@ -35,10 +35,12 @@ from .terms import (
     Var,
     Xor,
     acun_normal_form,
+    children,
     equal_mod,
     interm_occurrences,
     is_atom,
     problem_vars,
+    rebuild,
     sort_key,
     subterms_of_set,
     vars_of,
@@ -143,8 +145,6 @@ def _vary(rng: random.Random, cfg: GenConfig, t: Term) -> Term:
     leaf = _leaf_maker(rng, cfg, var_chance=0.5)
 
     def walk(u: Term) -> Term:
-        from .terms import children, rebuild
-
         if is_atom(u):
             return u if rng.random() < 0.5 else leaf()
         return rebuild(u, tuple(walk(c) for c in children(u)))
@@ -246,6 +246,21 @@ def _spare_const(problems: Sequence[Problem]) -> Const:
     return Const(f"u{n}")
 
 
+def _xor_facing(lhs: Term, rhs: Term) -> Iterator[Term]:
+    """Non-variable subterms that face an xor node on the other side, found
+    by walking both sides in parallel through matching standard
+    constructors."""
+    stack = [(lhs, rhs)]
+    while stack:
+        s, t = stack.pop()
+        if isinstance(s, Xor) or isinstance(t, Xor):
+            yield from (u for u in (s, t) if not isinstance(u, (Xor, Var)))
+            continue
+        cs, ct = children(s), children(t)
+        if cs and type(s) is type(t) and len(cs) == len(ct):
+            stack.extend(zip(cs, ct))
+
+
 def _candidate_pool(problems: Sequence[Problem], theory: Theory, cfg: GenConfig) -> list[Term]:
     spare = _spare_const(problems)
     xorish = theory in (Theory.ACUN, Theory.COMBINED)
@@ -284,6 +299,11 @@ def _candidate_pool(problems: Sequence[Problem], theory: Theory, cfg: GenConfig)
         if isinstance(s, Xor):
             for u in s.items:
                 add(combo_base, combo_seen, ground(u))
+    # a term standing opposite an xor across matching standard constructors
+    # enters the sum too: penc(X1, X2+a) ~? penc(c, b) needs X2 = a+b
+    for p in problems:
+        for u in _xor_facing(p.lhs, p.rhs):
+            add(combo_base, combo_seen, ground(u))
     pool = list(base)
     pool_seen = set(seen)
     for size in range(2, 2 * cfg.max_xor_width):
@@ -292,11 +312,59 @@ def _candidate_pool(problems: Sequence[Problem], theory: Theory, cfg: GenConfig)
     return pool
 
 
+def _components(problems: list[Problem]) -> list[tuple[list[str], list[Problem]]]:
+    """Group problems that share variables, transitively; each group with
+    its sorted variable names, fewest variables first (then input order)."""
+    groups: list[tuple[set[str], list[Problem]]] = []
+    for p in problems:
+        names, members = set(vars_of(p.lhs) | vars_of(p.rhs)), [p]
+        for g in [g for g in groups if g[0] & names]:
+            groups.remove(g)
+            names |= g[0]
+            members = g[1] + members
+        groups.append((names, members))
+    groups.sort(key=lambda g: len(g[0]))
+    return [(sorted(names), members) for names, members in groups]
+
+
+def _has_witness(
+    names: list[str], problems: list[Problem], pool: list[Term], theory: Theory
+) -> bool:
+    """Whether some assignment of pool terms to ``names`` solves every
+    problem of one variable-connected component."""
+    if len(problems) == 1:
+        lhs, rhs = problems[0].lhs, problems[0].rhs
+        lv, rv = sorted(vars_of(lhs)), sorted(vars_of(rhs))
+        if not set(lv) & set(rv):
+            # the sides are independent: keep the side with fewer variables
+            # as a set of values, stream the other side's values against it
+            if len(rv) < len(lv):
+                lhs, rhs, lv, rv = rhs, lhs, rv, lv
+            syntactic = theory in (Theory.STD, Theory.FREE_XOR)
+
+            def side_values(t: Term, vs: list[str]) -> Iterator[Term]:
+                for combo in product(pool, repeat=len(vs)):
+                    u = Substitution(dict(zip(vs, combo))).apply(t)
+                    yield u if syntactic else acun_normal_form(u)
+
+            small = set(side_values(lhs, lv))
+            return any(u in small for u in side_values(rhs, rv))
+    for combo in product(pool, repeat=len(names)):
+        sigma = Substitution(dict(zip(names, combo)))
+        if all(equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), theory) for p in problems):
+            return True
+    return False
+
+
 def ground_unifiable(
     problems: Iterable[Problem], theory: Theory, cfg: GenConfig = GenConfig()
 ) -> bool:
     """Brute-force unifiability: try every assignment of candidate ground
     terms to the variables and test equality modulo the theory.
+
+    Problems sharing no variables are decided separately, fewest variables
+    first, and the first part without a witness answers False; this searches
+    the same assignment space as one product over all variables.
 
     Sound unconditionally (it only answers True with an explicit witness);
     complete only for problems whose unifiers live in the candidate space,
@@ -314,11 +382,7 @@ def ground_unifiable(
             f"{len(pool)} candidates over {len(names)} variables "
             f"exceed the ceiling of {cfg.oracle_ceiling}"
         )
-    for values in product(pool, repeat=len(names)):
-        sigma = Substitution(dict(zip(names, values)))
-        if all(equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), theory) for p in probs):
-            return True
-    return False
+    return all(_has_witness(vs, ps, pool, theory) for vs, ps in _components(probs))
 
 
 def free_unifiable(problems: Iterable[Problem], order_sensitive: bool = True) -> bool:
@@ -356,8 +420,6 @@ def _free_unordered(work: list[tuple[Term, Term]], sigma: Substitution) -> bool:
                 _free_unordered(work + list(zip(s.items, perm)), sigma)
                 for perm in permutations(t.items)
             )
-        from .terms import children
-
         cs, ct = children(s), children(t)
         if not cs or len(cs) != len(ct):
             return False
@@ -485,8 +547,6 @@ def shrink_pair(
                 out.append(Xor(u.items[:k] + u.items[k + 1 :]))
         if not is_atom(u):
             out.append(filler)
-        from .terms import children, rebuild
-
         ch = children(u)
         for k, c in enumerate(ch):
             for rc in candidates(c):

@@ -278,14 +278,70 @@ class TestUnifyCombined:
         result = unify_combined(worked_example(), BscaConfig(first_only=True))
         assert len(result.unifiers) == 1
 
-    def test_pruning_changes_no_outcomes(self):
+    def test_pruning_changes_no_outcomes(self, monkeypatch):
+        # counts how often each precheck fires, so the agreement below is
+        # known to cover both of them
+        import taggedunify.bsca as bsca
+
+        counts = {}
+        real_identifications, real_solve = bsca.variable_identifications, bsca.solve_systems
+
+        def identifications(*args, **kwargs):
+            counts["identified"] = True
+            for item in real_identifications(*args, **kwargs):
+                counts["partitions"] += 1
+                yield item
+
+        def solve(*args, **kwargs):
+            counts["solved"] += 1
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(bsca, "variable_identifications", identifications)
+        monkeypatch.setattr(bsca, "solve_systems", solve)
+        pure_fired = partition_fired = 0
         for i in range(40):
             problems = gen_problem(GenConfig(seed=13), i)
             if len(problem_vars(problems)) > 6:
                 continue
+            counts.update(identified=False, partitions=0, solved=0)
             fast = unify_combined(problems, BscaConfig(keep_traces=False))
+            pure_fired += not counts["identified"]
+            partition_fired += counts["partitions"] > counts["solved"]
             slow = unify_combined(problems, BscaConfig(prune=False, keep_traces=False))
             assert bool(fast.unifiers) == bool(slow.unifiers)
+        assert pure_fired and partition_fired
+
+
+class TestPrechecks:
+    def test_pure_part_clash_attempts_no_branch(self):
+        problems = [prob("[X1, xor(X2, b)]", "penc([a, c, a], xor(a, b, c))")]
+        pruned = unify_combined(problems)
+        assert pruned.unifiers == [] and pruned.traces == []
+        unpruned = unify_combined(problems, BscaConfig(prune=False))
+        assert unpruned.unifiers == [] and unpruned.traces
+
+    def test_pure_part_clash_is_decided_under_the_partition_cap(self):
+        # ten variables exceed the partition cap, but the standard part
+        # already clashes, so the answer is definite
+        names = tuple(Var(f"V{i}") for i in range(10))
+        problems = [Problem(Seq(names + (Const("a"),)), Seq(names + (Const("b"),)))]
+        assert unify_combined(problems).unifiers == []
+        with pytest.raises(ChoiceSpaceExceeded):
+            unify_combined(problems, BscaConfig(prune=False))
+
+    def test_rejected_partitions_have_no_successful_split(self):
+        tried = {tr.var_id_partition for tr in unify_combined(worked_example()).traces}
+        assert EXHIBITED_PARTITION not in tried and SUCCEEDING_PARTITION in tried
+        gamma1, _ = purify_terms(worked_example())
+        rejected = 0
+        for partition, gamma3 in variable_identifications(gamma1):
+            if partition in tried:
+                continue
+            rejected += 1
+            g41, g42 = split_problems(gamma3)
+            for att in solve_systems(g41, g42, BscaConfig(prune=False)):
+                assert att.sigma1 is None or att.sigma2 is None
+        assert rejected
 
 
 class TestConservativity:
@@ -329,3 +385,12 @@ class TestOracleAgreement:
         problems = gen_problem(cfg, index)
         result = unify_combined(problems, BscaConfig(first_only=True, keep_traces=False))
         assert bool(result.unifiers) == ground_unifiable(problems, Theory.COMBINED, cfg)
+
+    @pytest.mark.parametrize("seed, index", [(68, 5), (6, 5542)])
+    def test_xor_value_facing_a_standard_term(self, seed, index):
+        # penc(X1, X2+a) ~? penc(c, b) needs X2 = a+b with b never a summand
+        cfg = GenConfig(seed=seed)
+        problems = gen_problem(cfg, index)
+        result = unify_combined(problems, BscaConfig(first_only=True, keep_traces=False))
+        assert result.unifiers
+        assert ground_unifiable(problems, Theory.COMBINED, cfg)

@@ -83,6 +83,31 @@ class TestUnify:
         assert code == 3
         assert "cap" in err.lower() or "exceed" in err.lower()
 
+    def test_pure_part_clash_is_negative_not_capped(self, capsys):
+        # ten variables exceed the default partition cap, but the standard
+        # part clashes before any partition is enumerated
+        names = ", ".join(f"V{i}" for i in range(10))
+        code, out, _ = run(capsys, "unify", "-e", f"[{names}, a] ~? [{names}, b] @combined")
+        assert code == 1
+        assert "not unifiable" in out
+
+    def test_pure_part_clash_explains_no_branch(self, capsys):
+        code, out, _ = run(
+            capsys, "unify", "-e", "[X1, xor(X2, b)] ~? penc(a, xor(a, b, c)) @combined",
+            "--explain",
+        )
+        assert code == 1
+        assert out.splitlines() == ["not unifiable"]
+
+    def test_deep_nesting_is_an_input_error(self, capsys):
+        depth = 3000
+        code, out, err = run(
+            capsys, "unify", "-e", f"X ~? {'[' * depth}a{']' * depth} @combined"
+        )
+        assert code == 2
+        assert err.strip() == "error: input nested too deeply"
+        assert out == ""
+
 
 class TestDnut:
     def test_check_fails_then_tag_then_check_passes(self, capsys, monkeypatch):

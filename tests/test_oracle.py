@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -8,6 +10,7 @@ from taggedunify.bsca import BscaConfig
 from taggedunify.oracle import (
     BoundExceeded,
     GenConfig,
+    _candidate_pool,
     check_theorem,
     combined_unifiable,
     free_unifiable,
@@ -25,10 +28,14 @@ from taggedunify.terms import (
     Problem,
     Theory,
     Var,
+    equal_mod,
     interm_occurrences,
+    is_pure,
+    problem_vars,
+    xor_of,
 )
 from taggedunify.textfmt import parse_term
-from taggedunify.unify import unify_free_xor
+from taggedunify.unify import Substitution, unify_free_xor
 
 
 def prob(lhs: str, rhs: str) -> Problem:
@@ -55,6 +62,48 @@ class TestGroundUnifiable:
                 Theory.COMBINED,
                 GenConfig(oracle_ceiling=1000),
             )
+
+
+def product_reference(problems, theory, cfg):
+    """The plain search over one product of all variables, kept as the
+    reference for the per-component search."""
+    names = sorted(problem_vars(problems))
+    if not names:
+        return all(equal_mod(p.lhs, p.rhs, theory) for p in problems)
+    for values in product(_candidate_pool(problems, theory, cfg), repeat=len(names)):
+        sigma = Substitution(dict(zip(names, values)))
+        if all(equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), theory) for p in problems):
+            return True
+    return False
+
+
+class TestGroundUnifiableReference:
+    def test_generated_problems_match_product_search(self):
+        cfg = GenConfig(seed=17)
+        checked = 0
+        for i in range(200):
+            problems = gen_problem(cfg, i)
+            theories = [Theory.COMBINED]
+            if all(is_pure(s, Theory.STD) for p in problems for s in (p.lhs, p.rhs)):
+                theories.append(Theory.STD)
+            for theory in theories:
+                assert ground_unifiable(problems, theory, cfg) == \
+                    product_reference(problems, theory, cfg), (i, theory)
+                checked += 1
+        assert checked > 200
+
+    def test_pure_xor_problems_match_product_search(self):
+        rng = random.Random(17)
+        pool = [Const("a"), Const("b"), Var("X"), Var("Y"), Var("Z")]
+
+        def side():
+            return xor_of([rng.choice(pool) for _ in range(rng.randint(1, 4))])
+
+        cfg = GenConfig()
+        for _ in range(100):
+            problems = [Problem(side(), side()) for _ in range(rng.randint(1, 2))]
+            assert ground_unifiable(problems, Theory.ACUN, cfg) == \
+                product_reference(problems, Theory.ACUN, cfg), problems
 
 
 class TestFreeUnifiable:
