@@ -47,10 +47,8 @@ class Gf2System:
 
 def build_gf2_system(problems: Iterable[Problem]) -> Gf2System:
     probs = list(problems)
-    for p in probs:
-        for side in (p.lhs, p.rhs):
-            if not is_pure(side, Theory.ACUN):
-                raise ImpureTermError("standard-theory subterm in a pure xor problem")
+    if not all(is_pure(side, Theory.ACUN) for p in probs for side in (p.lhs, p.rhs)):
+        raise ImpureTermError("standard-theory subterm in a pure xor problem")
     # the unity element contributes nothing: nf drops it before encoding
     diffs = [acun_normal_form(Xor((p.lhs, p.rhs))) for p in probs]
     summand_lists = [
@@ -93,9 +91,7 @@ def _fresh_params(taken: Iterable[str], count: int) -> list[str]:
     return out
 
 
-def unify_acun(
-    problems: Iterable[Problem], theory: Theory = Theory.ACUN
-) -> list[Substitution]:
+def unify_acun(problems: Iterable[Problem]) -> list[Substitution]:
     """Complete set of most general unifiers for a pure xor problem set.
 
     Returns a one-element list (elementary xor unification with free
@@ -104,12 +100,7 @@ def unify_acun(
     named by fresh ``_fN`` variables; variables whose occurrences cancel
     outright stay unbound, so ``unify_acun([Problem(t, t)])`` yields the
     empty substitution.
-
-    The ``theory`` tag is an extension point; only the xor theory ships
-    with a solver.
     """
-    if theory is not Theory.ACUN:
-        raise NotImplementedError(f"no equational solver for {theory.value}")
     system = build_gf2_system(problems)
     pivots: dict[int, tuple[int, int]] = {}
     for vm, am in system.rows:

@@ -40,21 +40,23 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .acun import unify_acun
 from .terms import (
+    XOR,
     Const,
     Problem,
-    TagConst,
     Term,
     Theory,
     Var,
-    Zero,
+    Xor,
     acun_normal_form,
     children,
     const_names_of,
     equal_mod,
-    head_op,
+    is_atom,
     is_pure,
+    map_args,
     problem_vars,
     rebuild,
+    side_of,
     vars_of,
 )
 from .unify import Substitution, unify_std
@@ -180,30 +182,6 @@ def fresh_const_name(var_name: str, taken: set[str]) -> str:
     return name
 
 
-def _owner(t: Term) -> str | None:
-    op = head_op(t)
-    if op is None:
-        return None
-    return "xor" if op == "xor" else "std"
-
-
-def _atom_owner(t: Term) -> str | None:
-    """Signature ownership of atoms: constants and tags belong to the
-    standard theory, the unity element to the xor theory, variables to
-    neither.  Full signature disjointness (atoms included) is what makes
-    the variable-identification step able to equate an abstraction variable
-    with a constant's stand-in, which completeness needs."""
-    if isinstance(t, (Const, TagConst)):
-        return "std"
-    if isinstance(t, Zero):
-        return "xor"
-    return None
-
-
-def _side_class(t: Term) -> str | None:
-    return _owner(t) or _atom_owner(t)
-
-
 def _dedup(problems: Iterable[Problem]) -> list[Problem]:
     seen: set[Problem] = set()
     out = []
@@ -217,29 +195,23 @@ def _dedup(problems: Iterable[Problem]) -> list[Problem]:
 def _purify_term(
     t: Term, fresh: FreshNames, defs: list[Problem], cache: dict[Term, str]
 ) -> Term:
-    own = _owner(t)
-    if own is None:
+    if is_atom(t):
         return t
+    own = side_of(t)
 
-    def abstract(c: Term, pure: Term) -> Term:
+    def fix(c: Term) -> Term:
+        c_side = side_of(c)
+        if c_side is None or c_side == own:
+            return _purify_term(c, fresh, defs, cache)
+        # an alien subterm, or an atom of the other signature: atoms belong
+        # to a side too (full signature disjointness), which is what lets
+        # identification equate an abstraction variable with a constant's
+        # stand-in, as completeness needs
         if c not in cache:
+            pure = _purify_term(c, fresh, defs, cache)
             cache[c] = fresh.var()
             defs.append(Problem(Var(cache[c]), pure))
         return Var(cache[c])
-
-    def fix(c: Term) -> Term:
-        c_head = _owner(c)
-        if c_head is None:
-            atom = _atom_owner(c)
-            if atom is None or atom == own:
-                return c
-            # an atom of the other signature counts as alien too
-            return abstract(c, c)
-        if c_head == own:
-            return _purify_term(c, fresh, defs, cache)
-        if c in cache:
-            return Var(cache[c])
-        return abstract(c, _purify_term(c, fresh, defs, cache))
 
     return rebuild(t, tuple(fix(c) for c in children(t)))
 
@@ -263,8 +235,7 @@ def purify_terms(
     out: list[Problem] = []
     for p in probs:
         defs: list[Problem] = []
-        lo, ro = _owner(p.lhs), _owner(p.rhs)
-        if lo is not None and ro is not None and lo != ro:
+        if not (is_atom(p.lhs) or is_atom(p.rhs)) and side_of(p.lhs) != side_of(p.rhs):
             w = fresh.var()
             defs.append(Problem(Var(w), _purify_term(p.lhs, fresh, defs, cache)))
             main = Problem(Var(w), _purify_term(p.rhs, fresh, defs, cache))
@@ -289,7 +260,7 @@ def purify_problems(
     fresh = fresh or FreshNames(problem_vars(probs))
     out: list[Problem] = []
     for p in probs:
-        lc, rc = _side_class(p.lhs), _side_class(p.rhs)
+        lc, rc = side_of(p.lhs), side_of(p.rhs)
         if lc is not None and rc is not None and lc != rc:
             v = fresh.var()
             out.append(Problem(Var(v), p.lhs))
@@ -304,7 +275,7 @@ def _std_definitions(problems: Iterable[Problem]) -> dict[str, list[Term]]:
     defs: dict[str, list[Term]] = {}
     for p in problems:
         for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
-            if isinstance(a, Var) and not isinstance(b, Var) and _owner(b) != "xor":
+            if isinstance(a, Var) and not isinstance(b, (Var, Xor)):
                 defs.setdefault(a.name, []).append(b)
     return defs
 
@@ -382,10 +353,10 @@ def split_problems(problems: Iterable[Problem]) -> tuple[list[Problem], list[Pro
     g41: list[Problem] = []
     g42: list[Problem] = []
     for p in problems:
-        lc, rc = _side_class(p.lhs), _side_class(p.rhs)
+        lc, rc = side_of(p.lhs), side_of(p.rhs)
         if lc is not None and rc is not None and lc != rc:
             raise ValueError("split requires theory-pure problems")
-        (g42 if (lc or rc) == "xor" else g41).append(p)
+        (g42 if (lc or rc) == XOR else g41).append(p)
     return g41, g42
 
 
@@ -496,11 +467,7 @@ def _some_split_may_unify(
 def _unbeta(t: Term, inverse: dict[str, str]) -> Term:
     if isinstance(t, Const) and t.name in inverse:
         return Var(inverse[t.name])
-    ch = children(t)
-    if not ch:
-        return t
-    new = tuple(_unbeta(c, inverse) for c in ch)
-    return t if new == ch else rebuild(t, new)
+    return map_args(lambda c: _unbeta(c, inverse), t)
 
 
 def combine_unifiers(
@@ -610,7 +577,7 @@ def _canonical_key(sigma: Substitution, orig_vars: Iterable[str]):
 def _xor_scope(problems: Iterable[Problem]) -> set[str]:
     scope: set[str] = set()
     for p in problems:
-        if _owner(p.lhs) == "xor" or _owner(p.rhs) == "xor":
+        if isinstance(p.lhs, Xor) or isinstance(p.rhs, Xor):
             scope |= vars_of(p.lhs) | vars_of(p.rhs)
     return scope
 
@@ -629,13 +596,13 @@ def unify_combined(
     probs = list(problems)
     orig_vars = sorted(problem_vars(probs))
     fresh = FreshNames(orig_vars)
-    gamma1, _introduced = purify_terms(probs, fresh)
+    gamma1, _ = purify_terms(probs, fresh)
     gamma2 = purify_problems(gamma1, fresh)
     for p in gamma2:  # purification postconditions, checked every run
         for side in (p.lhs, p.rhs):
             if not (is_pure(side, Theory.STD) or is_pure(side, Theory.ACUN)):
                 raise AssertionError(f"impure term after purification: {side!r}")
-        lc, rc = _side_class(p.lhs), _side_class(p.rhs)
+        lc, rc = side_of(p.lhs), side_of(p.rhs)
         if lc is not None and rc is not None and lc != rc:
             raise AssertionError(f"cross-theory problem after purification: {p!r}")
     unifiers: list[Substitution] = []

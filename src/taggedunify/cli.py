@@ -21,7 +21,7 @@ from typing import Sequence
 from .acun import unify_acun
 from .bsca import BscaConfig, ChoiceSpaceExceeded, unify_combined
 from .dnut import dnut_check, dnut_tag
-from .oracle import GenConfig, run_harness
+from .oracle import _HARNESS_CAPS, GenConfig, run_harness
 from .terms import Problem, Theory
 from .textfmt import (
     ParseError,
@@ -62,7 +62,7 @@ def caps_from_env(base: BscaConfig | None = None) -> BscaConfig:
 
 
 def _read_input(args: argparse.Namespace) -> str:
-    if getattr(args, "expr", None):
+    if args.expr is not None:
         return args.expr
     path = getattr(args, "input", None)
     if path in (None, "-"):
@@ -176,8 +176,6 @@ def cmd_dnut(args: argparse.Namespace) -> int:
 
 def cmd_prove_theorem(args: argparse.Namespace) -> int:
     cfg = GenConfig(seed=args.seed, samples=args.samples, max_depth=args.depth)
-    from .oracle import _HARNESS_CAPS
-
     caps = caps_from_env(_HARNESS_CAPS)
     population = {"with-sequences": "non-variables"}.get(args.population, args.population)
     report = run_harness(cfg, caps, population)
@@ -224,10 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", nargs="?", default="-", help="input path, or - for stdin")
         p.add_argument("-e", "--expr", help="inline input text instead of a path")
+
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_unify = sub.add_parser("unify", help="unify the entries of a problem file")
     add_input(p_unify)
+    add_format(p_unify)
     p_unify.add_argument(
         "--theory",
         choices=[t.value for t in Theory],
@@ -241,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dnut = sub.add_parser("dnut", help="check or apply the tagging discipline")
     p_dnut.add_argument("action", choices=("check", "tag"))
     add_input(p_dnut)
+    add_format(p_dnut)
     p_dnut.set_defaults(func=cmd_dnut)
 
     p_thm = sub.add_parser(
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
         help="which pairs count (with-sequences is an alias of non-variables)",
     )
-    p_thm.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p_thm)
     p_thm.set_defaults(func=cmd_prove_theorem)
 
     p_parse = sub.add_parser("parse", help="parse input and print its canonical rendering")

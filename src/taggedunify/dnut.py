@@ -21,9 +21,9 @@ from .terms import (
     TagConst,
     Term,
     Xor,
-    children,
+    decompose,
     iter_subterms,
-    rebuild,
+    map_args,
 )
 from .unify import unify_free_xor
 
@@ -141,16 +141,19 @@ def _tag_below(t: Term, path: tuple[int, ...]) -> Term:
             counter += 1
             base = path if counter == 1 else path + (counter,)
             return _tag_xor(u, base)
-        ch = children(u)
-        if not ch:
-            return u
-        new = tuple(walk(c) for c in ch)
-        return u if new == ch else rebuild(u, new)
+        return map_args(walk, u)
 
     return walk(t)
 
 
-def dnut_tag(messages: Sequence[Term], _root_offset: int = 0) -> list[Term]:
+def _tag_messages(messages: Sequence[Term], offset: int) -> list[Term]:
+    return [
+        _tag_xor(m, (i + offset,)) if isinstance(m, Xor) else _tag_below(m, (i + offset,))
+        for i, m in enumerate(messages, 1)
+    ]
+
+
+def dnut_tag(messages: Sequence[Term]) -> list[Term]:
     """Tag an ordered list of messages so the result satisfies all three
     conditions.
 
@@ -166,19 +169,16 @@ def dnut_tag(messages: Sequence[Term], _root_offset: int = 0) -> list[Term]:
     the input collide with assigned ones, tagging retries once with shifted
     roots before giving up.
     """
-    out = [
-        _tag_xor(m, (i + _root_offset,)) if isinstance(m, Xor)
-        else _tag_below(m, (i + _root_offset,))
-        for i, m in enumerate(messages, 1)
-    ]
+    out = _tag_messages(messages, 0)
     if dnut_check(out).satisfied:
         return out
-    if _root_offset == 0:
-        shift = 1 + max(
-            (u.path[0] for m in messages for u in iter_subterms(m) if isinstance(u, TagConst)),
-            default=0,
-        )
-        return dnut_tag(messages, _root_offset=shift)
+    shift = 1 + max(
+        (u.path[0] for m in messages for u in iter_subterms(m) if isinstance(u, TagConst)),
+        default=0,
+    )
+    out = _tag_messages(messages, shift)
+    if dnut_check(out).satisfied:
+        return out
     raise RuntimeError("tagging failed to satisfy the conditions after retry")
 
 
@@ -194,11 +194,7 @@ def strip_tags(t: Term) -> Term:
             else:
                 items.append(strip_tags(item))
         return Xor(tuple(items))
-    ch = children(t)
-    if not ch:
-        return t
-    new = tuple(strip_tags(c) for c in ch)
-    return t if new == ch else rebuild(t, new)
+    return map_args(strip_tags, t)
 
 
 def tags_bijection(a: Iterable[Term], b: Iterable[Term]) -> dict | None:
@@ -216,14 +212,10 @@ def tags_bijection(a: Iterable[Term], b: Iterable[Term]) -> dict | None:
             forward[s.path] = t.path
             backward[t.path] = s.path
             return True
-        if type(s) is not type(t):
-            return False
-        cs, ct = children(s), children(t)
-        if len(cs) != len(ct):
-            return False
-        if not cs:
+        pairs = decompose(s, t)
+        if pairs is None:
             return s == t
-        return all(match(x, y) for x, y in zip(cs, ct))
+        return all(match(x, y) for x, y in pairs)
 
     la, lb = list(a), list(b)
     if len(la) != len(lb):

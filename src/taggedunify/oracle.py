@@ -36,9 +36,12 @@ from .terms import (
     Xor,
     acun_normal_form,
     children,
+    const_names_of,
+    decompose,
     equal_mod,
     interm_occurrences,
     is_atom,
+    map_args,
     problem_vars,
     rebuild,
     sort_key,
@@ -66,12 +69,11 @@ class GenConfig:
     atom_pool: int = 3
     seed: int = 0
     samples: int = 100
-    ground_depth: int = 2
     oracle_ceiling: int = 400_000
 
     def __post_init__(self) -> None:
         for name in ("max_depth", "max_xor_width", "var_pool", "atom_pool",
-                     "samples", "ground_depth", "oracle_ceiling"):
+                     "samples", "oracle_ceiling"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
@@ -101,17 +103,15 @@ def _leaf_maker(rng: random.Random, cfg: GenConfig, var_chance: float = 0.35) ->
 def _gen_std(rng: random.Random, depth: int, leaf: Callable[[], Term]) -> Term:
     if depth <= 0 or rng.random() < 0.3:
         return leaf()
-    op = rng.choice(("seq", "penc", "senc", "pk", "sh"))
-    if op == "seq":
+    op = rng.choice((Seq, Penc, Senc, Pk, Sh))
+    if op is Seq:
         width = rng.randint(2, 3)
         return Seq(tuple(_gen_std(rng, depth - 1, leaf) for _ in range(width)))
-    if op == "penc":
-        return Penc(_gen_std(rng, depth - 1, leaf), _gen_std(rng, 0, leaf))
-    if op == "senc":
-        return Senc(_gen_std(rng, depth - 1, leaf), _gen_std(rng, 0, leaf))
-    if op == "pk":
+    if op is Pk:
         return Pk(_gen_std(rng, 0, leaf))
-    return Sh(_gen_std(rng, 0, leaf), _gen_std(rng, 0, leaf))
+    # encryptions nest in the body; keys and shared-key arguments are leaves
+    body = _gen_std(rng, depth - 1 if op in (Penc, Senc) else 0, leaf)
+    return op(body, _gen_std(rng, 0, leaf))
 
 
 def gen_message(rng: random.Random, cfg: GenConfig) -> Term:
@@ -126,13 +126,8 @@ def gen_message(rng: random.Random, cfg: GenConfig) -> Term:
         for k in range(width):
             if k == nested_slot:
                 inner = Xor((leaf(), leaf()))
-                wrap = rng.choice(("penc", "senc", "seq"))
-                if wrap == "penc":
-                    items.append(Penc(inner, leaf()))
-                elif wrap == "senc":
-                    items.append(Senc(inner, leaf()))
-                else:
-                    items.append(Seq((inner, leaf())))
+                wrap = rng.choice((Penc, Senc, Seq))
+                items.append(Seq((inner, leaf())) if wrap is Seq else wrap(inner, leaf()))
             else:
                 items.append(_gen_std(rng, rng.randint(1, 2), leaf))
         return Xor(tuple(items))
@@ -147,7 +142,7 @@ def _vary(rng: random.Random, cfg: GenConfig, t: Term) -> Term:
     def walk(u: Term) -> Term:
         if is_atom(u):
             return u if rng.random() < 0.5 else leaf()
-        return rebuild(u, tuple(walk(c) for c in children(u)))
+        return map_args(walk, u)
 
     return walk(t)
 
@@ -233,13 +228,7 @@ def gen_problem(cfg: GenConfig, index: int = 0) -> list[Problem]:
 
 
 def _spare_const(problems: Sequence[Problem]) -> Const:
-    taken = {
-        u.name
-        for p in problems
-        for side in (p.lhs, p.rhs)
-        for u in subterms_of_set([side])
-        if isinstance(u, Const)
-    }
+    taken = set().union(*(const_names_of(s) for p in problems for s in (p.lhs, p.rhs)))
     n = 0
     while f"u{n}" in taken:
         n += 1
@@ -256,9 +245,9 @@ def _xor_facing(lhs: Term, rhs: Term) -> Iterator[Term]:
         if isinstance(s, Xor) or isinstance(t, Xor):
             yield from (u for u in (s, t) if not isinstance(u, (Xor, Var)))
             continue
-        cs, ct = children(s), children(t)
-        if cs and type(s) is type(t) and len(cs) == len(ct):
-            stack.extend(zip(cs, ct))
+        pairs = decompose(s, t)
+        if pairs is not None:
+            stack.extend(pairs)
 
 
 def _candidate_pool(problems: Sequence[Problem], theory: Theory, cfg: GenConfig) -> list[Term]:
@@ -411,19 +400,15 @@ def _free_unordered(work: list[tuple[Term, Term]], sigma: Substitution) -> bool:
                 return False
             sigma = sigma.compose(Substitution({s.name: t}))
             continue
-        if type(s) is not type(t):
+        pairs = decompose(s, t)
+        if pairs is None:
             return False
         if isinstance(s, Xor):
-            if len(s.items) != len(t.items):
-                return False
             return any(
                 _free_unordered(work + list(zip(s.items, perm)), sigma)
                 for perm in permutations(t.items)
             )
-        cs, ct = children(s), children(t)
-        if not cs or len(cs) != len(ct):
-            return False
-        work.extend(zip(cs, ct))
+        work.extend(pairs)
     return True
 
 
@@ -447,7 +432,6 @@ class PairReport:
     combined: bool | None  # None: enumeration caps were hit
     free: bool
     free_unordered: bool
-    non_variable: bool
     non_sequence: bool
 
     def to_jsonable(self) -> dict:
@@ -459,7 +443,7 @@ class PairReport:
             "combined": self.combined,
             "free": self.free,
             "free_unordered": self.free_unordered,
-            "non_variable": self.non_variable,
+            "non_variable": True,  # variables never enter a pair
             "non_sequence": self.non_sequence,
         }
 
@@ -485,9 +469,7 @@ class TheoremReport:
         }
 
 
-def check_theorem(
-    terms: Iterable[Term], cfg: GenConfig = GenConfig(), caps: BscaConfig = _HARNESS_CAPS
-) -> TheoremReport:
+def check_theorem(terms: Iterable[Term], caps: BscaConfig = _HARNESS_CAPS) -> TheoremReport:
     """Check every pair of distinct non-variable terms in the set.
 
     A counterexample is a pair that unifies in the combined theory but not
@@ -496,13 +478,7 @@ def check_theorem(
     the premise does real work.  Caps never pass silently: a capped pair is
     flagged incomplete.
     """
-    tlist = []
-    seen: set[Term] = set()
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            tlist.append(t)
-    tlist.sort(key=sort_key)
+    tlist = sorted(set(terms), key=sort_key)  # sort_key is a total order
     report = TheoremReport(dnut_check(tlist).satisfied, [], [], [], [])
     for m, t in combinations(tlist, 2):
         if isinstance(m, Var) or isinstance(t, Var):
@@ -519,7 +495,6 @@ def check_theorem(
             comb,
             free,
             free_uo,
-            non_variable=True,
             non_sequence=not (isinstance(m, Seq) or isinstance(t, Seq)),
         )
         report.pairs.append(pair)
@@ -610,23 +585,19 @@ def run_harness(
     """Generate ``cfg.samples`` tagged protocols and check them all.
 
     ``population`` selects which pairs count toward the exit-relevant
-    counterexample list: ``non-variables`` (sequences included),
-    ``no-sequences`` (sequences excluded too) or ``both``.
+    counterexample list: ``no-sequences`` leaves out pairs with a sequence
+    side; ``both`` and ``non-variables`` count every pair, since no pair has
+    a variable side.
     """
     report = HarnessReport(samples=cfg.samples, seed=cfg.seed)
     for i in range(cfg.samples):
         protocol = gen_dnut_protocol(cfg, i)
-        tr = check_theorem(protocol, cfg, caps)
+        tr = check_theorem(protocol, caps)
         report.pairs_total += len(tr.pairs)
         report.combined_unifiable_pairs += sum(1 for p in tr.pairs if p.combined)
         report.free_unifiable_pairs += sum(1 for p in tr.pairs if p.free)
         for p in tr.counterexamples:
-            in_pop = (
-                population == "both"
-                or (population == "non-variables" and p.non_variable)
-                or (population == "no-sequences" and p.non_sequence)
-            )
-            if not in_pop:
+            if population == "no-sequences" and not p.non_sequence:
                 continue
             sm, st = shrink_pair(
                 p.lhs,
@@ -634,7 +605,7 @@ def run_harness(
                 lambda a, b: combined_unifiable(a, b, caps)
                 and not free_unifiable([Problem(a, b)]),
             )
-            shrunk = PairReport(sm, st, True, False, p.free_unordered, True, p.non_sequence)
+            shrunk = PairReport(sm, st, True, False, p.free_unordered, p.non_sequence)
             report.counterexamples.append(
                 {"protocol": i, "original": p.to_jsonable(), "shrunk": shrunk.to_jsonable()}
             )

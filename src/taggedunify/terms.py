@@ -1,6 +1,13 @@
 """Core term algebra: constructors, the subterm and interm relations,
 theory descriptors, purity, and the xor normal form.
 
+:data:`SIGNATURE` is the one place a constructor is declared: its text
+name, signature side, arity and arguments.  Everything that dispatches on
+the constructor (``children``, ``rebuild``, ``sort_key``, purity, the
+renderer and parser, the combination's side tests) is derived from it, and
+:func:`map_args` and :func:`decompose` are the one rewrite walker and the
+one decomposition step the other modules use.
+
 All values are immutable after construction and every operation is a pure
 function, so terms can be shared freely across threads.  Normalization is
 always explicit: constructors never flatten nested xors, never drop the
@@ -13,7 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 
 class Term:
@@ -107,17 +115,49 @@ class Xor(Term):
             raise ValueError("xor needs at least two summands")
 
 
-OP_SEQ = "seq"
-OP_PENC = "penc"
-OP_SENC = "senc"
-OP_PK = "pk"
-OP_SH = "sh"
-OP_XOR = "xor"
+STD = "std"
+XOR = "xor"
 
-_HEAD = {Seq: OP_SEQ, Penc: OP_PENC, Senc: OP_SENC, Pk: OP_PK, Sh: OP_SH, Xor: OP_XOR}
 
-STD_OPERATORS = frozenset({OP_SEQ, OP_PENC, OP_SENC, OP_PK, OP_SH})
-XOR_OPERATORS = frozenset({OP_XOR})
+def _no_args(t: Term) -> tuple[Term, ...]:
+    return ()
+
+
+@dataclass(frozen=True, slots=True)
+class Signature:
+    """One constructor's entry in :data:`SIGNATURE`.
+
+    ``op`` is the text name (None for atoms) and ``side`` the signature the
+    constructor belongs to: :data:`STD`, :data:`XOR`, or None for variables,
+    which belong to neither.  A compound constructor takes exactly ``arity``
+    arguments, or, when ``variadic``, one ``items`` tuple of at least
+    ``arity``; ``args`` reads them off a node in order.
+    """
+
+    op: str | None
+    side: str | None
+    arity: int = 0
+    variadic: bool = False
+    args: Callable[[Term], tuple[Term, ...]] = _no_args
+
+
+# Key order is the fixed total order on constructors that sort_key uses.
+SIGNATURE: dict[type, Signature] = {
+    Zero: Signature(None, XOR),
+    TagConst: Signature(None, STD),
+    Const: Signature(None, STD),
+    Var: Signature(None, None),
+    Seq: Signature("seq", STD, 1, variadic=True, args=attrgetter("items")),
+    Penc: Signature("penc", STD, 2, args=attrgetter("body", "key")),
+    Senc: Signature("senc", STD, 2, args=attrgetter("body", "key")),
+    Pk: Signature("pk", STD, 1, args=lambda t: (t.agent,)),
+    Sh: Signature("sh", STD, 2, args=attrgetter("a", "b")),
+    Xor: Signature("xor", XOR, 2, variadic=True, args=attrgetter("items")),
+}
+
+# lookups derived from the table for the hot paths
+_ARGS = {cls: sig.args for cls, sig in SIGNATURE.items()}
+_ORDER = {cls: rank for rank, cls in enumerate(SIGNATURE)}
 
 
 class Theory(Enum):
@@ -134,56 +174,65 @@ class Theory(Enum):
     COMBINED = "combined"
 
     @property
-    def operators(self) -> frozenset[str]:
-        return _THEORY_OPS[self]
-
-
-_THEORY_OPS = {
-    Theory.STD: STD_OPERATORS,
-    Theory.ACUN: XOR_OPERATORS,
-    Theory.FREE_XOR: XOR_OPERATORS,
-    Theory.COMBINED: STD_OPERATORS | XOR_OPERATORS,
-}
+    def sides(self) -> tuple[str, ...]:
+        """The signature sides whose operators belong to the theory."""
+        if self is Theory.STD:
+            return (STD,)
+        if self is Theory.COMBINED:
+            return (STD, XOR)
+        return (XOR,)
 
 
 def head_op(t: Term) -> str | None:
     """Operator name of the head constructor, or None for atoms and variables."""
-    return _HEAD.get(type(t))
+    return SIGNATURE[type(t)].op
+
+
+def side_of(t: Term) -> str | None:
+    """Signature side of the head constructor: constants and tags belong to
+    the standard theory, the unity element to the xor theory, variables to
+    neither."""
+    return SIGNATURE[type(t)].side
 
 
 def is_atom(t: Term) -> bool:
     """True for variables, constants, tag constants and the unity element."""
-    return type(t) not in _HEAD
+    return SIGNATURE[type(t)].op is None
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (Seq, Xor)):
-        return t.items
-    if isinstance(t, (Penc, Senc)):
-        return (t.body, t.key)
-    if isinstance(t, Pk):
-        return (t.agent,)
-    if isinstance(t, Sh):
-        return (t.a, t.b)
-    return ()
+    return _ARGS[type(t)](t)
 
 
 def rebuild(t: Term, items: tuple[Term, ...]) -> Term:
     """Rebuild a non-atomic term with new children (same constructor)."""
     cls = type(t)
-    if cls is Seq:
-        return Seq(items)
-    if cls is Xor:
-        return Xor(items)
-    if cls is Penc:
-        return Penc(items[0], items[1])
-    if cls is Senc:
-        return Senc(items[0], items[1])
-    if cls is Pk:
-        return Pk(items[0])
-    if cls is Sh:
-        return Sh(items[0], items[1])
-    raise TypeError(f"cannot rebuild atom {t!r}")
+    sig = SIGNATURE[cls]
+    if sig.op is None:
+        raise TypeError(f"cannot rebuild atom {t!r}")
+    return cls(items) if sig.variadic else cls(*items)
+
+
+def map_args(f: Callable[[Term], Term], t: Term) -> Term:
+    """``t`` with ``f`` applied to each argument, or ``t`` itself when no
+    argument changed (atoms always come back as they are).  A walker that
+    calls this on itself rewrites a term bottom-up."""
+    ch = _ARGS[type(t)](t)
+    if not ch:
+        return t
+    new = tuple(f(c) for c in ch)
+    return t if new == ch else rebuild(t, new)
+
+
+def decompose(s: Term, t: Term) -> Iterator[tuple[Term, Term]] | None:
+    """The argument pairs of two compound nodes with the same constructor
+    and the same number of arguments; None otherwise, atoms included."""
+    if type(s) is not type(t):
+        return None
+    cs, ct = _ARGS[type(s)](s), _ARGS[type(t)](t)
+    if not cs or len(cs) != len(ct):
+        return None
+    return zip(cs, ct)
 
 
 def iter_subterms(t: Term) -> Iterator[Term]:
@@ -192,7 +241,7 @@ def iter_subterms(t: Term) -> Iterator[Term]:
     while stack:
         u = stack.pop()
         yield u
-        stack.extend(reversed(children(u)))
+        stack.extend(reversed(_ARGS[type(u)](u)))
 
 
 def is_subterm(t: Term, u: Term) -> bool:
@@ -210,9 +259,7 @@ def subterms_of_set(terms: Iterable[Term]) -> set[Term]:
 
 def interms(t: Term) -> set[Term]:
     """Direct xor summands of ``t``; a non-xor term is its own sole interm."""
-    if isinstance(t, Xor):
-        return set(t.items)
-    return {t}
+    return set(interm_occurrences(t))
 
 
 def interm_occurrences(t: Term) -> tuple[Term, ...]:
@@ -228,8 +275,8 @@ def is_pure(t: Term, th: Theory) -> bool:
     Variables, constants, tags and the unity element are pure wrt every
     theory.
     """
-    ops = th.operators
-    return all(is_atom(u) or head_op(u) in ops for u in iter_subterms(t))
+    sides = th.sides
+    return all(is_atom(u) or side_of(u) in sides for u in iter_subterms(t))
 
 
 def vars_of(t: Term) -> frozenset[str]:
@@ -240,16 +287,14 @@ def const_names_of(t: Term) -> frozenset[str]:
     return frozenset(u.name for u in iter_subterms(t) if isinstance(u, Const))
 
 
-_RANK = {Zero: 0, TagConst: 1, Const: 2, Var: 3, Seq: 4, Penc: 5, Senc: 6, Pk: 7, Sh: 8, Xor: 9}
-
-
 def sort_key(t: Term):
     """Key for a fixed total syntactic order on terms.
 
-    Constructor rank first, then lexicographic on the payload; any fixed
-    total order would do, determinism is the requirement.
+    Constructor rank (the key order of :data:`SIGNATURE`) first, then
+    lexicographic on the payload; any fixed total order would do,
+    determinism is the requirement.
     """
-    rank = _RANK[type(t)]
+    rank = _ORDER[type(t)]
     if isinstance(t, TagConst):
         return (rank, t.path)
     if isinstance(t, (Const, Var)):
@@ -282,19 +327,11 @@ def acun_normal_form(t: Term) -> Term:
     if is_atom(t):
         return t
     if isinstance(t, Xor):
-        flat: list[Term] = []
-        for c in t.items:
-            n = acun_normal_form(c)
-            if isinstance(n, Xor):
-                flat.extend(n.items)
-            else:
-                flat.append(n)
+        flat = [u for c in t.items for u in interm_occurrences(acun_normal_form(c))]
         counts: Counter[Term] = Counter(u for u in flat if u != ZERO)
         kept = sorted((u for u, k in counts.items() if k & 1), key=sort_key)
         return xor_of(kept)
-    ch = children(t)
-    new = tuple(acun_normal_form(c) for c in ch)
-    return t if new == ch else rebuild(t, new)
+    return map_args(acun_normal_form, t)
 
 
 def equal_mod(t1: Term, t2: Term, th: Theory) -> bool:

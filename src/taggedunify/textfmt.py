@@ -15,19 +15,17 @@ import re
 from dataclasses import dataclass, field
 
 from .terms import (
+    SIGNATURE,
     ZERO,
     Const,
-    Penc,
-    Pk,
     Problem,
-    Senc,
     Seq,
-    Sh,
     TagConst,
     Term,
     Theory,
     Var,
     Xor,
+    children,
 )
 from .unify import Substitution
 
@@ -53,7 +51,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_RESERVED = {"penc", "senc", "pk", "sh", "xor"}
+# every compound constructor is written name(args...), except sequences
+_CALLS = {sig.op: cls for cls, sig in SIGNATURE.items() if sig.op and cls is not Seq}
 
 _THEORY_NAMES = {t.value: t for t in Theory}
 
@@ -112,16 +111,11 @@ class _Parser:
             self.expect(")")
             return t
         if val == "[":
-            items = [self.term()]
-            while self.peek()[1] == ",":
-                self.take()
-                items.append(self.term())
-            self.expect("]")
-            return Seq(tuple(items))
+            return Seq(tuple(self._term_list("]")))
         if kind == "num":
             return self._numeral(val, col)
         if kind == "ident":
-            if val in _RESERVED:
+            if val in _CALLS:
                 return self._call(val, col)
             if val[0].isupper() or val[0] == "_":
                 return Var(val)
@@ -137,29 +131,30 @@ class _Parser:
             raise ParseError(f"tag components must be positive: {text!r}", self.line, col)
         return TagConst(parts)
 
-    def _call(self, name: str, col: int) -> Term:
-        self.expect("(")
-        args = [self.term()]
+    def _term_list(self, close: str) -> list[Term]:
+        items = [self.term()]
         while self.peek()[1] == ",":
             self.take()
-            args.append(self.term())
-        self.expect(")")
-        arity = {"penc": 2, "senc": 2, "sh": 2, "pk": 1}
-        if name in arity and len(args) != arity[name]:
+            items.append(self.term())
+        self.expect(close)
+        return items
+
+    def _call(self, name: str, col: int) -> Term:
+        self.expect("(")
+        args = self._term_list(")")
+        cls = _CALLS[name]
+        sig = SIGNATURE[cls]
+        if sig.variadic:
+            if len(args) < sig.arity:
+                raise ParseError(
+                    f"{name} needs at least {sig.arity} arguments", self.line, col
+                )
+            return cls(tuple(args))
+        if len(args) != sig.arity:
             raise ParseError(
-                f"{name} takes {arity[name]} argument(s), got {len(args)}", self.line, col
+                f"{name} takes {sig.arity} argument(s), got {len(args)}", self.line, col
             )
-        if name == "xor" and len(args) < 2:
-            raise ParseError("xor needs at least 2 arguments", self.line, col)
-        if name == "penc":
-            return Penc(args[0], args[1])
-        if name == "senc":
-            return Senc(args[0], args[1])
-        if name == "sh":
-            return Sh(args[0], args[1])
-        if name == "pk":
-            return Pk(args[0])
-        return Xor(tuple(args))
+        return cls(*args)
 
     def end(self) -> None:
         kind, val, col = self.peek()
@@ -182,19 +177,11 @@ def render_term(t: Term) -> str:
         return ".".join(str(p) for p in t.path)
     if t == ZERO:
         return "0"
-    if isinstance(t, Seq):
-        return "[" + ", ".join(render_term(i) for i in t.items) + "]"
-    if isinstance(t, Xor):
-        return "xor(" + ", ".join(render_term(i) for i in t.items) + ")"
-    if isinstance(t, Penc):
-        return f"penc({render_term(t.body)}, {render_term(t.key)})"
-    if isinstance(t, Senc):
-        return f"senc({render_term(t.body)}, {render_term(t.key)})"
-    if isinstance(t, Pk):
-        return f"pk({render_term(t.agent)})"
-    if isinstance(t, Sh):
-        return f"sh({render_term(t.a)}, {render_term(t.b)})"
-    raise TypeError(f"cannot render {t!r}")
+    sig = SIGNATURE.get(type(t))
+    if sig is None:
+        raise TypeError(f"cannot render {t!r}")
+    inner = ", ".join(render_term(c) for c in children(t))
+    return f"[{inner}]" if type(t) is Seq else f"{sig.op}({inner})"
 
 
 def parse_substitution(src: str, line: int | None = None) -> Substitution:
@@ -314,10 +301,6 @@ def render_problem_file(pf: ProblemFile) -> str:
             lines.append(f"  {render_term(t)}")
         lines.append("}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def term_to_jsonable(t: Term) -> str:
-    return render_term(t)
 
 
 def problem_to_jsonable(p: Problem) -> dict[str, str]:

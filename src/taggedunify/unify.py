@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .terms import Problem, Term, Var, Xor, children, iter_subterms, rebuild, vars_of
+from .terms import Problem, Term, Theory, Var, decompose, is_pure, map_args, vars_of
 
 
 class ImpureTermError(Exception):
@@ -26,11 +26,7 @@ class Substitution:
         """Simultaneously replace every bound variable occurring in ``t``."""
         if isinstance(t, Var):
             return self.bindings.get(t.name, t)
-        ch = children(t)
-        if not ch:
-            return t
-        new = tuple(self.apply(c) for c in ch)
-        return t if new == ch else rebuild(t, new)
+        return map_args(self.apply, t)
 
     def apply_problem(self, p: Problem) -> Problem:
         return Problem(self.apply(p.lhs), self.apply(p.rhs))
@@ -91,12 +87,10 @@ def _solve(eqs: list[tuple[Term, Term]]) -> Substitution | None:
                 sigma[v] = one.apply(sigma[v])
             sigma[s.name] = t
             continue
-        if type(s) is not type(t):
-            return None
-        cs, ct = children(s), children(t)
-        if not cs or len(cs) != len(ct):
-            return None  # distinct atoms, or an arity clash
-        work.extend(zip(cs, ct))
+        pairs = decompose(s, t)
+        if pairs is None:
+            return None  # distinct atoms, or a constructor or arity clash
+        work.extend(pairs)
     return Substitution(sigma)
 
 
@@ -109,10 +103,8 @@ def unify_std(problems: Iterable[Problem]) -> Substitution | None:
     rejected outright; mixed problems belong to the combined solver.
     """
     probs = list(problems)
-    for p in probs:
-        for side in (p.lhs, p.rhs):
-            if any(isinstance(u, Xor) for u in iter_subterms(side)):
-                raise ImpureTermError("xor subterm in a standard-theory problem")
+    if not all(is_pure(side, Theory.STD) for p in probs for side in (p.lhs, p.rhs)):
+        raise ImpureTermError("xor subterm in a standard-theory problem")
     return _solve([(p.lhs, p.rhs) for p in probs])
 
 

@@ -145,7 +145,7 @@ def test_c4_negative_control_untagged_sets():
     cfg = GenConfig(seed=31)
     equational_only = 0
     for i in range(100):
-        report = check_theorem(gen_untagged_set(cfg, i), cfg)
+        report = check_theorem(gen_untagged_set(cfg, i))
         equational_only += len(report.premise_fail_equational)
         equational_only += len(report.counterexamples)
     assert equational_only >= 1

@@ -73,10 +73,6 @@ class TestExamples:
         with pytest.raises(ImpureTermError):
             unify_acun([prob("xor([1, a], X)", "b")])
 
-    def test_other_equational_theories_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            unify_acun([prob("X", "a")], theory=Theory.STD)
-
     def test_zero_contributes_nothing(self):
         (sigma,) = unify_acun([prob("X", "xor(a, 0)")])
         assert sigma.bindings == {"X": Const("a")}

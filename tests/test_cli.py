@@ -52,6 +52,14 @@ class TestUnify:
         (line,) = out.strip().splitlines()
         assert json.loads(line) == {"unifier": {"X": "xor(a, b)"}}
 
+    def test_empty_inline_text_is_not_stdin(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, "unify", "-e", "", stdin="X ~? a @std\n", monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert "no unification entries" in err
+        assert out == ""
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "unify", "-e", "a ~? xor(b)")
         assert code == 2

@@ -193,8 +193,9 @@ class TestCheckTheorem:
 
     def test_variables_excluded_from_population(self):
         report = check_theorem([Var("X"), parse_term("penc(a, k)"), parse_term("[1, b]")])
-        assert all(p.non_variable for p in report.pairs)
+        assert not any(isinstance(u, Var) for p in report.pairs for u in (p.lhs, p.rhs))
         assert len(report.pairs) == 1
+        assert report.pairs[0].to_jsonable()["non_variable"] is True
 
     def test_caps_flag_incomplete_never_silent(self):
         big = " + ".join(f"[{i}, penc(V{i}, k)]" for i in range(1, 8))

@@ -6,20 +6,34 @@ from hypothesis import given
 
 from strategies import atoms, terms, xor_terms
 from taggedunify.terms import (
+    SIGNATURE,
+    STD,
+    XOR,
     ZERO,
     Const,
+    Penc,
+    Pk,
+    Senc,
     Seq,
+    Sh,
     TagConst,
     Term,
     Theory,
     Var,
     Xor,
     acun_normal_form,
+    children,
+    decompose,
     equal_mod,
     interms,
     is_atom,
     is_pure,
     is_subterm,
+    iter_subterms,
+    map_args,
+    rebuild,
+    side_of,
+    sort_key,
     subterms_of_set,
 )
 from taggedunify.textfmt import parse_term
@@ -197,3 +211,56 @@ class TestConstructors:
     @given(atoms)
     def test_atoms_have_no_children(self, a):
         assert is_atom(a)
+
+
+class TestSignature:
+    A = Const("a")
+    ONE_EACH = [
+        ZERO, TagConst((1,)), A, Var("X"), Seq((A,)), Penc(A, A), Senc(A, A), Pk(A),
+        Sh(A, A), Xor((A, A)),
+    ]
+
+    def test_sort_key_constructor_order(self):
+        # normal-form summand order, rendered unifiers and the golden files
+        # all rest on this order
+        assert [type(u) for u in self.ONE_EACH] == list(SIGNATURE)
+        assert sorted(reversed(self.ONE_EACH), key=sort_key) == self.ONE_EACH
+        ranks = [sort_key(u)[0] for u in self.ONE_EACH]
+        assert ranks == list(range(len(self.ONE_EACH)))
+
+    def test_atom_sides(self):
+        assert [side_of(u) for u in self.ONE_EACH[:4]] == [XOR, STD, STD, None]
+
+    def test_decompose(self):
+        assert list(decompose(Penc(self.A, Var("X")), Penc(Var("Y"), self.A))) == [
+            (self.A, Var("Y")), (Var("X"), self.A)
+        ]
+        assert decompose(Penc(self.A, self.A), Senc(self.A, self.A)) is None
+        assert decompose(Seq((self.A,)), Seq((self.A, self.A))) is None
+        assert decompose(self.A, self.A) is None
+
+    @given(terms())
+    def test_rebuild_from_children(self, u):
+        if is_atom(u):
+            assert children(u) == ()
+            with pytest.raises(TypeError):
+                rebuild(u, ())
+        else:
+            assert rebuild(u, children(u)) == u
+
+    @given(terms())
+    def test_map_identity_returns_same_object(self, u):
+        for v in iter_subterms(u):
+            assert map_args(lambda c: c, v) is v
+
+    @given(terms())
+    def test_sides_agree_with_purity(self, u):
+        for v in iter_subterms(u):
+            if is_atom(v):
+                assert is_pure(v, Theory.STD) and is_pure(v, Theory.ACUN)
+                continue
+            # the node alone, its arguments replaced by a constant
+            head = rebuild(v, tuple(self.A for _ in children(v)))
+            assert is_pure(head, Theory.STD) == (side_of(v) == STD)
+            assert is_pure(head, Theory.ACUN) == (side_of(v) == XOR)
+            assert is_pure(head, Theory.COMBINED)

@@ -52,6 +52,19 @@ class TestParseTerm:
         for bad in ("penc(a)", "pk(a, b)", "sh(a)", "senc(a, b, c)"):
             with pytest.raises(ParseError):
                 parse_term(bad)
+        messages = {
+            "senc(a)": "senc takes 2 argument(s), got 1",
+            "senc(a, b, c)": "senc takes 2 argument(s), got 3",
+            "sh(a)": "sh takes 2 argument(s), got 1",
+            "sh(a, b, c)": "sh takes 2 argument(s), got 3",
+            "pk(a, b)": "pk takes 1 argument(s), got 2",
+            "penc(a)": "penc takes 2 argument(s), got 1",
+            "xor(a)": "xor needs at least 2 arguments",
+        }
+        for bad, message in messages.items():
+            with pytest.raises(ParseError) as err:
+                parse_term(bad)
+            assert str(err.value) == message
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):

@@ -1,0 +1,40 @@
+"""The benchmark's per-layer tracing patches public names of the package
+from outside (perfbench/tracing.py).  A refactor that drops or renames one
+of them must fail here, not only in a traced benchmark run."""
+
+import importlib
+import importlib.util
+import pathlib
+import sys
+
+from taggedunify import cli
+from taggedunify.acun import unify_acun  # noqa: F401  (patched in this module)
+from taggedunify.bsca import unify_combined  # noqa: F401
+from taggedunify.oracle import ground_unifiable, run_harness  # noqa: F401
+from taggedunify.unify import unify_std  # noqa: F401
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists_and_is_restored(capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    table = tracing.wrap_table(tracer, __name__)
+    originals = [getattr(importlib.import_module(m), a) for m, a, _ in table]
+    with tracing.installed(table):
+        for module, attr, wrapper in table:
+            assert getattr(importlib.import_module(module), attr) is wrapper
+        assert cli.main(["unify", "-e", "X ~? a @std"]) == 0
+    assert capsys.readouterr().out.strip() == "{ a/X }"
+    assert tracer.stat("unify.unify_std").calls == 1
+    assert tracer.stat("textfmt.parse").calls == 1
+    for (module, attr, _), original in zip(table, originals):
+        assert getattr(importlib.import_module(module), attr) is original
