@@ -5,9 +5,10 @@ signature-disjoint theories.
 The pipeline: purify terms (step 1), purify problems (step 2), identify
 variables (step 3), split the problem set by theory (step 4), replace each
 side's foreign variables with fresh constants and run the pure solvers
-(step 5), and merge the component unifiers along a dependency-compatible
-linear variable order (step 6).  The nondeterministic choices are enumerated
-exhaustively up to configurable caps.
+(step 5), and merge the component unifiers (step 6) by resolving their
+bindings once, which yields a dependency-compatible linear variable order
+or fails when the bindings are cyclic.  The nondeterministic choices are
+enumerated exhaustively up to configurable caps.
 
 Pruning (on by default, switchable off via :class:`BscaConfig`) discards
 only branches that provably cannot succeed:
@@ -59,7 +60,7 @@ from .terms import (
     side_of,
     vars_of,
 )
-from .unify import Substitution, unify_std
+from .unify import Substitution, resolve, unify_std
 
 
 class ChoiceSpaceExceeded(Exception):
@@ -474,72 +475,30 @@ def combine_unifiers(
     sigma1: Substitution,
     sigma2: Substitution,
     var_split: tuple[Iterable[str], Iterable[str]],
-    linear_order: Iterable[str],
     beta: dict[str, str],
-) -> Substitution | None:
+) -> tuple[tuple[str, ...], Substitution] | None:
     """Step 6: merge the component unifiers along a linear variable order.
 
-    Ascending in the order, each variable takes its binding from its own
-    block's unifier, with beta's fresh constants replaced back by their
-    source variables and all earlier bindings substituted through.  Returns
-    None when back-substitution would put a variable inside its own binding,
-    which signals that no unifier exists along this order.
+    Each variable takes its binding from its own block's unifier, with
+    beta's fresh constants mapped back to their variables, and the bindings
+    are resolved once.  Returns the order (unbound variables sorted, then
+    the bound ones in dependency layers) with the merged unifier, or None
+    when the bindings are cyclic: then no order, and no unifier, exists.
+    All dependency-compatible orders give the same unifier.
     """
-    v1 = set(var_split[0])
-    inverse = {c: v for v, c in beta.items()}
-    partial: dict[str, Term] = {}
-    for x in linear_order:
-        source = sigma1 if x in v1 else sigma2
-        raw = source.bindings.get(x)
-        if raw is None:
-            continue
-        t = Substitution(partial).apply(_unbeta(raw, inverse))
-        if x in vars_of(t):
-            return None
-        one = Substitution({x: t})
-        for y in list(partial):
-            partial[y] = one.apply(partial[y])
-            if y in vars_of(partial[y]):
-                return None
-        partial[x] = t
-    return Substitution(partial)
-
-
-def _dependency_order(
-    sigma1: Substitution,
-    sigma2: Substitution,
-    v1: Iterable[str],
-    v2: Iterable[str],
-    beta: dict[str, str],
-) -> tuple[str, ...] | None:
-    """A linear order where every variable follows the variables occurring in
-    its (beta-resolved) binding, or None when the dependencies are cyclic.
-
-    All such orders produce the same combined unifier, so evaluating one
-    representative per branch is enough; orders violating the dependency
-    condition are infeasible by construction.
-    """
+    v1, v2 = var_split
     inverse = {c: v for v, c in beta.items()}
     bound: dict[str, Term] = {}
-    for x in v1:
-        if x in sigma1.bindings:
-            bound[x] = _unbeta(sigma1.bindings[x], inverse)
-    for x in v2:
-        if x in sigma2.bindings:
-            bound[x] = _unbeta(sigma2.bindings[x], inverse)
-    deps = {x: vars_of(t) & set(bound) for x, t in bound.items()}
-    order = [x for x in sorted(set(v1) | set(v2)) if x not in bound]
-    remaining = dict(deps)
-    while remaining:
-        ready = sorted(x for x, d in remaining.items() if not d)
-        if not ready:
-            return None
-        for x in ready:
-            order.append(x)
-            del remaining[x]
-        for x in remaining:
-            remaining[x] = remaining[x] - set(ready)
-    return tuple(order)
+    for block, sigma in ((v1, sigma1), (v2, sigma2)):
+        for x in block:
+            if x in sigma.bindings:
+                bound[x] = _unbeta(sigma.bindings[x], inverse)
+    solved = resolve(bound)
+    if solved is None:
+        return None
+    order, merged = solved
+    unbound = sorted(x for x in (*v1, *v2) if x not in bound)
+    return (*unbound, *order), merged
 
 
 def _finalize(
@@ -632,21 +591,13 @@ def unify_combined(
                     f"more than {cfg.max_branches} branches attempted"
                 )
             order = None
-            merged = None
             final = None
             if attempt.sigma1 is not None and attempt.sigma2 is not None:
-                order = _dependency_order(
-                    attempt.sigma1, attempt.sigma2, attempt.v1, attempt.v2, attempt.beta
+                solved = combine_unifiers(
+                    attempt.sigma1, attempt.sigma2, (attempt.v1, attempt.v2), attempt.beta
                 )
-                if order is not None:
-                    merged = combine_unifiers(
-                        attempt.sigma1,
-                        attempt.sigma2,
-                        (attempt.v1, attempt.v2),
-                        order,
-                        attempt.beta,
-                    )
-                if merged is not None:
+                if solved is not None:
+                    order, merged = solved
                     candidate = _finalize(merged, rep, orig_vars)
                     if all(
                         equal_mod(

@@ -163,7 +163,10 @@ def cmd_dnut(args: argparse.Namespace) -> int:
     # tag: retag every set's messages in order, preserving the input shape
     for name, terms in sets:
         tagged = dnut_tag(terms)
-        if name:
+        if args.format == "json":
+            rendered = [render_term(t) for t in tagged]
+            print(json.dumps({"set": name, "terms": rendered}, sort_keys=True))
+        elif name:
             print(f"set {name} {{")
             for t in tagged:
                 print(f"  {render_term(t)}")
@@ -240,10 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_unify.set_defaults(func=cmd_unify)
 
     p_dnut = sub.add_parser("dnut", help="check or apply the tagging discipline")
-    p_dnut.add_argument("action", choices=("check", "tag"))
-    add_input(p_dnut)
-    add_format(p_dnut)
-    p_dnut.set_defaults(func=cmd_dnut)
+    dnut_sub = p_dnut.add_subparsers(dest="action", required=True)
+    for action, text in (("check", "check the conditions"), ("tag", "retag each set")):
+        p_action = dnut_sub.add_parser(action, help=text)
+        add_input(p_action)
+        add_format(p_action)
+        p_action.set_defaults(func=cmd_dnut)
 
     p_thm = sub.add_parser(
         "prove-theorem", help="run the tagged-protocol harness and report counterexamples"

@@ -49,7 +49,7 @@ from .terms import (
     vars_of,
     xor_of,
 )
-from .unify import Substitution, unify_free_xor
+from .unify import Substitution, occurs, unify_free_xor, walk
 
 
 class BoundExceeded(Exception):
@@ -383,29 +383,31 @@ def free_unifiable(problems: Iterable[Problem], order_sensitive: bool = True) ->
     probs = list(problems)
     if order_sensitive:
         return unify_free_xor(probs) is not None
-    return _free_unordered([(p.lhs, p.rhs) for p in probs], Substitution())
+    return _free_unordered([(p.lhs, p.rhs) for p in probs], {})
 
 
-def _free_unordered(work: list[tuple[Term, Term]], sigma: Substitution) -> bool:
+def _free_unordered(work: list[tuple[Term, Term]], bindings: dict[str, Term]) -> bool:
+    """The solver's loop on triangular ``bindings`` (extended in place), each
+    xor pair branching over summand orders with a copy of the bindings."""
     work = list(work)
     while work:
         s, t = work.pop()
-        s, t = sigma.apply(s), sigma.apply(t)
+        s, t = walk(s, bindings), walk(t, bindings)
         if s == t:
             continue
         if isinstance(t, Var) and not isinstance(s, Var):
             s, t = t, s
         if isinstance(s, Var):
-            if s.name in vars_of(t):
+            if occurs(s.name, t, bindings):
                 return False
-            sigma = sigma.compose(Substitution({s.name: t}))
+            bindings[s.name] = t
             continue
         pairs = decompose(s, t)
         if pairs is None:
             return False
         if isinstance(s, Xor):
             return any(
-                _free_unordered(work + list(zip(s.items, perm)), sigma)
+                _free_unordered(work + list(zip(s.items, perm)), dict(bindings))
                 for perm in permutations(t.items)
             )
         work.extend(pairs)

@@ -183,11 +183,6 @@ class Theory(Enum):
         return (XOR,)
 
 
-def head_op(t: Term) -> str | None:
-    """Operator name of the head constructor, or None for atoms and variables."""
-    return SIGNATURE[type(t)].op
-
-
 def side_of(t: Term) -> str | None:
     """Signature side of the head constructor: constants and tags belong to
     the standard theory, the unity element to the xor theory, variables to

@@ -1,11 +1,15 @@
 """Syntactic unification: substitutions in solved form, the standard-theory
-solver with occurs check, and the variant that treats xor as a free symbol."""
+solver with occurs check, and the variant that treats xor as a free symbol.
+
+Every solver keeps triangular bindings, reads them through with :func:`walk`
+and :func:`occurs`, and turns them into a :class:`Substitution` once with
+:func:`resolve`, as does the combination's merge."""
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .terms import Problem, Term, Theory, Var, decompose, is_pure, map_args, vars_of
+from .terms import Problem, Term, Theory, Var, children, decompose, is_pure, map_args, vars_of
 
 
 class ImpureTermError(Exception):
@@ -44,13 +48,6 @@ class Substitution:
                 out[v] = t
         return Substitution(out)
 
-    def restrict(self, names: Iterable[str]) -> "Substitution":
-        keep = set(names)
-        return Substitution({v: t for v, t in self.bindings.items() if v in keep})
-
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.bindings)
-
     def is_idempotent(self) -> bool:
         bound = set(self.bindings)
         return all(not (vars_of(t) & bound) for t in self.bindings.values())
@@ -63,35 +60,81 @@ class Substitution:
         return f"Substitution({{{inner}}})"
 
 
+def walk(t: Term, bindings: Mapping[str, Term]) -> Term:
+    """Follow bindings from ``t`` to an unbound variable or a non-variable."""
+    while isinstance(t, Var) and t.name in bindings:
+        t = bindings[t.name]
+    return t
+
+
+def occurs(name: str, t: Term, bindings: Mapping[str, Term]) -> bool:
+    """Whether ``name`` occurs in ``t`` with the bindings read through,
+    visiting each shared node once."""
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if isinstance(u, Var):
+            if u.name == name:
+                return True
+            if u.name in bindings:
+                stack.append(bindings[u.name])
+        else:
+            stack.extend(children(u))
+    return False
+
+
+def resolve(bindings: Mapping[str, Term]) -> tuple[tuple[str, ...], Substitution] | None:
+    """Triangular bindings as an idempotent substitution, or None if cyclic.
+
+    Peels Kahn layers (each sorted) off the bindings' dependencies and
+    substitutes each binding once, after those it depends on; the result
+    shares those nodes, so a term doubling at each step stays linear in
+    size.  Returns that order and the substitution, keys in insertion order.
+    """
+    pending = {x: vars_of(t) & bindings.keys() for x, t in bindings.items()}
+    solved = Substitution()
+    while pending:
+        layer = sorted(x for x, deps in pending.items() if deps <= solved.bindings.keys())
+        if not layer:
+            return None
+        for x in layer:
+            del pending[x]
+            solved.bindings[x] = solved.apply(bindings[x])
+    return tuple(solved.bindings), Substitution({x: solved.bindings[x] for x in bindings})
+
+
 def _solve(eqs: list[tuple[Term, Term]]) -> Substitution | None:
     """First-order unification by decomposition with occurs check.
 
-    Every constructor, xor included, decomposes positionally, so this is
-    also the free-xor unifier; callers that implement the standard theory
-    reject xor before calling.
+    Bindings stay triangular (a binding may mention variables bound later)
+    and are resolved once at the end, so the cost stays polynomial when the
+    unifier written as a tree is exponential.  Every constructor, xor
+    included, decomposes positionally, so this is also the free-xor unifier;
+    callers that implement the standard theory reject xor before calling.
     """
-    sigma: dict[str, Term] = {}
+    bindings: dict[str, Term] = {}
     work = list(eqs)
     while work:
         s, t = work.pop()
+        s, t = walk(s, bindings), walk(t, bindings)
         if s == t:
             continue
         if isinstance(t, Var) and not isinstance(s, Var):
             s, t = t, s
         if isinstance(s, Var):
-            if s.name in vars_of(t):
+            if occurs(s.name, t, bindings):
                 return None
-            one = Substitution({s.name: t})
-            work = [(one.apply(a), one.apply(b)) for a, b in work]
-            for v in list(sigma):
-                sigma[v] = one.apply(sigma[v])
-            sigma[s.name] = t
+            bindings[s.name] = t
             continue
         pairs = decompose(s, t)
         if pairs is None:
             return None  # distinct atoms, or a constructor or arity clash
         work.extend(pairs)
-    return Substitution(sigma)
+    return resolve(bindings)[1]  # the occurs check keeps the bindings acyclic
 
 
 def unify_std(problems: Iterable[Problem]) -> Substitution | None:

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from taggedunify.cli import main
 
@@ -157,6 +160,27 @@ class TestDnut:
         code, _, _ = run(capsys, "dnut", "check", "-e", "xor(a")
         assert code == 2
 
+    def test_options_before_the_path(self, capsys):
+        path = str(GOLDEN / "protocol_original.terms")
+        for action, want in (("check", 1), ("tag", 0)):
+            code, out, _ = run(capsys, "dnut", action, "--format", "json", path)
+            assert code == want
+            assert [json.loads(line)["set"] for line in out.splitlines()] == ["protocol"]
+
+    def test_tag_json_feeds_back_into_check(self, capsys, monkeypatch):
+        src = "xor(A, N_B)\nset msgs {\n  xor(N_A, A)\n  [N_B, B] + penc(N_B, pk(A))\n}\n"
+        code, out, _ = run(
+            capsys, "dnut", "tag", "--format", "json", stdin=src, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [(j["set"], len(j["terms"])) for j in lines] == [("", 1), ("msgs", 2)]
+        for j in lines:
+            assert list(j) == sorted(j)
+            code, out, _ = run(capsys, "dnut", "check", "-e", "\n".join(j["terms"]))
+            assert code == 0
+            assert "satisfied" in out
+
 
 class TestProveTheorem:
     def test_deterministic_reports(self, capsys):
@@ -230,3 +254,27 @@ class TestGoldenFiles:
         )
         assert code == 1
         assert "not unifiable" in out
+
+
+class TestScripts:
+    """The scripts run in a fresh process, as a user would start them."""
+
+    @staticmethod
+    def run_script(*argv: str) -> subprocess.CompletedProcess:
+        root = GOLDEN.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_walk_worked_example(self):
+        done = self.run_script("walk_worked_example.py")
+        assert done.returncode == 0, done.stderr
+        assert "tagged protocol satisfied: True" in done.stdout
+
+    def test_run_theorem_harness(self, tmp_path):
+        out = tmp_path / "report.json"
+        done = self.run_script("run_theorem_harness.py", "--samples", "3", "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(out.read_text())["samples"] == 3

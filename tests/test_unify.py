@@ -2,11 +2,32 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from strategies import terms
+from strategies import terms, var_names, variables
 from taggedunify.oracle import GenConfig, gen_problem, ground_unifiable
-from taggedunify.terms import Const, Problem, Theory, Var, Xor, equal_mod, vars_of
+from taggedunify.terms import (
+    Const,
+    Pk,
+    Problem,
+    Seq,
+    Theory,
+    Var,
+    Xor,
+    children,
+    decompose,
+    equal_mod,
+    is_pure,
+    vars_of,
+)
 from taggedunify.textfmt import parse_term
-from taggedunify.unify import ImpureTermError, Substitution, unify_free_xor, unify_std
+from taggedunify.unify import (
+    ImpureTermError,
+    Substitution,
+    occurs,
+    resolve,
+    unify_free_xor,
+    unify_std,
+    walk,
+)
 
 
 def prob(lhs: str, rhs: str) -> Problem:
@@ -123,3 +144,137 @@ class TestUnifyFreeXor:
     def test_variable_binds_to_whole_xor(self):
         got = unify_free_xor([prob("X", "xor(a, b)")])
         assert got == Substitution({"X": parse_term("xor(a, b)")})
+
+
+def eager_solve(eqs: list[tuple]) -> dict | None:
+    """Reference solver in eager solved form: each new binding is applied to
+    the worklist and to every earlier binding at once.  Exponential on the
+    doubling chain, but the triangular solver must return exactly its
+    bindings, in the same insertion order."""
+    sigma: dict = {}
+    work = list(eqs)
+    while work:
+        s, t = work.pop()
+        if s == t:
+            continue
+        if isinstance(t, Var) and not isinstance(s, Var):
+            s, t = t, s
+        if isinstance(s, Var):
+            if s.name in vars_of(t):
+                return None
+            one = Substitution({s.name: t})
+            work = [(one.apply(a), one.apply(b)) for a, b in work]
+            for v in list(sigma):
+                sigma[v] = one.apply(sigma[v])
+            sigma[s.name] = t
+            continue
+        pairs = decompose(s, t)
+        if pairs is None:
+            return None
+        work.extend(pairs)
+    return sigma
+
+
+def assert_matches_eager(problems: list[Problem]) -> None:
+    want = eager_solve([(p.lhs, p.rhs) for p in problems])
+    solvers = [unify_free_xor]
+    if all(is_pure(side, Theory.STD) for p in problems for side in (p.lhs, p.rhs)):
+        solvers.append(unify_std)
+    for solver in solvers:
+        got = solver(problems)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert list(got.bindings.items()) == list(want.items())
+
+
+def doubling_chain(n: int) -> Problem:
+    """[X1..Xn] ~? [[X0,X0]..[Xn-1,Xn-1]]: Xn's unifier is a tree of 2^n leaves."""
+    lhs = Seq(tuple(Var(f"X{i}") for i in range(1, n + 1)))
+    rhs = Seq(tuple(Seq((Var(f"X{i}"), Var(f"X{i}"))) for i in range(n)))
+    return Problem(lhs, rhs)
+
+
+def dag_depth_and_vars(t) -> tuple[int, set[str]]:
+    """Depth of ``t`` (atoms 0) and its variable names, by an iterative walk
+    that visits each shared node once."""
+    depth: dict[int, int] = {}
+    names: set[str] = set()
+    stack = [(t, False)]
+    while stack:
+        u, expanded = stack.pop()
+        if id(u) in depth:
+            continue
+        kids = children(u)
+        if isinstance(u, Var):
+            names.add(u.name)
+        if expanded or not kids:
+            depth[id(u)] = 1 + max(depth[id(c)] for c in kids) if kids else 0
+        else:
+            stack.append((u, True))
+            stack.extend((c, False) for c in kids)
+    return depth[id(t)], names
+
+
+class TestSolvedFormCore:
+    def test_walk_follows_chains(self):
+        bindings = {"X": Var("Y"), "Y": Pk(Var("Z"))}
+        assert walk(Var("X"), bindings) == Pk(Var("Z"))
+        assert walk(Var("Z"), bindings) == Var("Z")
+
+    def test_occurs_reads_through_bindings(self):
+        bindings = {"Y": Pk(Var("X"))}
+        assert occurs("X", Seq((Const("a"), Var("Y"))), bindings)
+        assert not occurs("X", Seq((Const("a"), Var("Z"))), bindings)
+
+    def test_resolve_orders_by_layers_and_keeps_insertion_order(self):
+        bindings = {"X": Pk(Var("Y")), "Y": Const("a"), "Z": Var("W")}
+        order, sigma = resolve(bindings)
+        assert order == ("Y", "Z", "X")
+        assert list(sigma.bindings) == ["X", "Y", "Z"]
+        assert sigma.bindings["X"] == Pk(Const("a"))
+        assert sigma.is_idempotent()
+
+    def test_resolve_rejects_cycles(self):
+        assert resolve({"X": Pk(Var("Y")), "Y": Seq((Var("X"),))}) is None
+
+
+class TestMatchesEagerSolver:
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(variables, terms(max_leaves=4)),
+                st.tuples(terms(max_leaves=6), terms(max_leaves=6)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_random_problem_sets(self, pairs):
+        # variable-term problems make the solver bind, chain and fail the
+        # occurs check; term-term problems decompose and clash
+        assert_matches_eager([Problem(s, t) for s, t in pairs])
+
+    @given(terms(max_leaves=8), st.dictionaries(var_names, terms(max_leaves=4)))
+    def test_instances(self, pattern, rho):
+        assert_matches_eager([Problem(pattern, Substitution(rho).apply(pattern))])
+
+    @pytest.mark.parametrize("seed", [1, 61])
+    def test_generated_problem_sets(self, seed):
+        cfg = GenConfig(seed=seed)
+        for index in range(150):
+            assert_matches_eager(gen_problem(cfg, index))
+
+    def test_doubling_chain_small(self):
+        assert_matches_eager([doubling_chain(8)])
+
+
+class TestDoublingChain:
+    def test_polynomial_at_depth_40(self):
+        sigma = unify_std([doubling_chain(40)])
+        assert sigma is not None
+        # written out as a tree this binding has 2^40 leaves
+        depth, names = dag_depth_and_vars(sigma.bindings["X40"])
+        assert depth == 40
+        assert names == {"X0"}
