@@ -10,6 +10,16 @@ equality modulo the theory directly.  The generators only emit problems for
 which that space is sufficient (each pair is linear and variable-disjoint;
 see docs/format.md for the argument), so oracle/solver agreement is a real
 completeness check, not a tautology.
+
+Before it enumerates, the oracle answers False for a problem whose sides
+clash at a fixed position: walked in parallel through matching
+constructors, stopping at variables and xor nodes, the sides reach two
+distinct atoms or two nodes whose constructor or arity differ.  This is
+sound in every theory: an assignment replaces variables only, and the xor
+normal form keeps every constructor and atom above the first variable or
+xor node, so every ground instance of the problem keeps the clash.  The
+test runs after the candidate pool and the ceiling, so it never turns a
+:class:`BoundExceeded` into False.
 """
 
 from __future__ import annotations
@@ -235,19 +245,36 @@ def _spare_const(problems: Sequence[Problem]) -> Const:
     return Const(f"u{n}")
 
 
-def _xor_facing(lhs: Term, rhs: Term) -> Iterator[Term]:
-    """Non-variable subterms that face an xor node on the other side, found
-    by walking both sides in parallel through matching standard
-    constructors."""
+def _aligned_stops(lhs: Term, rhs: Term) -> Iterator[tuple[Term, Term]]:
+    """The pairs where a parallel walk of both sides through matching
+    constructors stops: at a variable or an xor node on either side, at two
+    atoms, or at two nodes whose constructor or arity differ."""
     stack = [(lhs, rhs)]
     while stack:
         s, t = stack.pop()
+        stop = isinstance(s, (Var, Xor)) or isinstance(t, (Var, Xor))
+        pairs = None if stop else decompose(s, t)
+        if pairs is None:
+            yield s, t
+        else:
+            stack.extend(pairs)
+
+
+def _xor_facing(lhs: Term, rhs: Term) -> Iterator[Term]:
+    """Non-variable subterms that face an xor node on the other side."""
+    for s, t in _aligned_stops(lhs, rhs):
         if isinstance(s, Xor) or isinstance(t, Xor):
             yield from (u for u in (s, t) if not isinstance(u, (Xor, Var)))
-            continue
-        pairs = decompose(s, t)
-        if pairs is not None:
-            stack.extend(pairs)
+
+
+def _clashes(p: Problem) -> bool:
+    """Whether the sides differ at a position no instantiation reaches: the
+    walk stops at two distinct atoms, or at two nodes whose constructor or
+    arity differ, above every variable and xor node."""
+    return any(
+        s != t and not isinstance(s, (Var, Xor)) and not isinstance(t, (Var, Xor))
+        for s, t in _aligned_stops(p.lhs, p.rhs)
+    )
 
 
 def _candidate_pool(problems: Sequence[Problem], theory: Theory, cfg: GenConfig) -> list[Term]:
@@ -353,7 +380,11 @@ def ground_unifiable(
 
     Problems sharing no variables are decided separately, fewest variables
     first, and the first part without a witness answers False; this searches
-    the same assignment space as one product over all variables.
+    the same assignment space as one product over all variables.  A problem
+    whose sides clash at a fixed position (distinct atoms, or a constructor
+    or arity mismatch, above every variable and xor node) answers False
+    before any enumeration: no instantiation reaches that position, and
+    the xor normal form keeps it, so no candidate could be a witness.
 
     Sound unconditionally (it only answers True with an explicit witness);
     complete only for problems whose unifiers live in the candidate space,
@@ -371,6 +402,8 @@ def ground_unifiable(
             f"{len(pool)} candidates over {len(names)} variables "
             f"exceed the ceiling of {cfg.oracle_ceiling}"
         )
+    if any(_clashes(p) for p in probs):
+        return False
     return all(_has_witness(vs, ps, pool, theory) for vs, ps in _components(probs))
 
 

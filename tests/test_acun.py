@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import hypothesis.strategies as st
@@ -7,12 +6,14 @@ from hypothesis import given, settings
 
 from taggedunify.acun import build_gf2_system, unify_acun
 from taggedunify.terms import (
+    ZERO,
     Const,
     Problem,
     Theory,
     Var,
     acun_normal_form,
     equal_mod,
+    interm_occurrences,
     problem_vars,
     xor_of,
 )
@@ -27,32 +28,55 @@ def prob(lhs: str, rhs: str) -> Problem:
 def _brute_force(problems):
     """Independent oracle: map every variable to an xor-combination of the
     input atoms (2^atoms candidates per variable); complete for elementary
-    xor unification with free constants."""
-    from taggedunify.terms import interm_occurrences
+    xor unification with free constants.
 
+    A candidate is a bit mask over the atoms and each side is evaluated by
+    parity counting, without building terms or using the solver's normal
+    form.  Variables get values one at a time, and an equation is checked as
+    soon as all of its variables have one, so a branch is left only when no
+    assignment extending it can be a witness."""
     names = sorted(problem_vars(problems))
     atoms = sorted(
-        {
-            u
-            for p in problems
-            for side in (p.lhs, p.rhs)
-            for u in interm_occurrences(side)
-            if isinstance(u, Const)
-        },
-        key=lambda c: c.name,
+        {u.name for p in problems for side in (p.lhs, p.rhs) for u in interm_occurrences(side) if isinstance(u, Const)}
     )
-    pool = [
-        acun_normal_form(xor_of(c))
-        for size in range(len(atoms) + 1)
-        for c in itertools.combinations(atoms, size)
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    index = {v: i for i, v in enumerate(names)}
+
+    def parity(side):
+        odd_vars, mask = set(), 0
+        for u in interm_occurrences(side):
+            if isinstance(u, Var):
+                odd_vars ^= {index[u.name]}
+            elif isinstance(u, Const):
+                mask ^= bit[u.name]
+            else:
+                assert u == ZERO, f"not an elementary xor summand: {u}"
+        return odd_vars, mask
+
+    equations = []
+    for p in problems:
+        (lv, lm), (rv, rm) = parity(p.lhs), parity(p.rhs)
+        equations.append((lv ^ rv, lm ^ rm))
+    candidates = range(1 << len(atoms))
+    # closing[i]: the equations whose last variable is the (i-1)-th, checked
+    # as soon as it has a value
+    closing = [
+        [j for j, (vs, _) in enumerate(equations) if max(vs, default=-1) == i - 1]
+        for i in range(len(names) + 1)
     ]
-    if not names:
-        return all(equal_mod(p.lhs, p.rhs, Theory.ACUN) for p in problems)
-    for values in itertools.product(pool, repeat=len(names)):
-        sigma = Substitution(dict(zip(names, values)))
-        if all(equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), Theory.ACUN) for p in problems):
+
+    def extend(i, sums):
+        # sums[j]: xor of the values given so far to equation j's variables
+        if any(sums[j] != equations[j][1] for j in closing[i]):
+            return False
+        if i == len(names):
             return True
-    return False
+        return any(
+            extend(i + 1, [s ^ value if i in vs else s for s, (vs, _) in zip(sums, equations)])
+            for value in candidates
+        )
+
+    return extend(0, [0] * len(equations))
 
 
 class TestExamples:

@@ -11,6 +11,7 @@ from taggedunify.oracle import (
     BoundExceeded,
     GenConfig,
     _candidate_pool,
+    _clashes,
     check_theorem,
     combined_unifiable,
     free_unifiable,
@@ -77,20 +78,69 @@ def product_reference(problems, theory, cfg):
     return False
 
 
+def legal_theories(problems):
+    """The theories whose solvers accept the problems: STD and ACUN need
+    pure sides, FREE_XOR and COMBINED take any term."""
+    sides = [s for p in problems for s in (p.lhs, p.rhs)]
+    return [
+        th for th in Theory
+        if th in (Theory.FREE_XOR, Theory.COMBINED) or all(is_pure(s, th) for s in sides)
+    ]
+
+
+class TestFixedPositionClash:
+    @pytest.mark.parametrize("lhs, rhs", [
+        ("penc(a, X)", "[a, b]"),
+        ("[X, a]", "[b, c]"),
+        ("[0, X]", "[a, b]"),
+        ("[X, a]", "[b, c, d]"),
+    ])
+    def test_clash_answers_false(self, lhs, rhs):
+        problems = [prob(lhs, rhs)]
+        assert _clashes(problems[0])
+        for th in legal_theories(problems):
+            assert not ground_unifiable(problems, th), th
+            assert not product_reference(problems, th, GenConfig()), th
+
+    @pytest.mark.parametrize("lhs, rhs, witness", [
+        ("penc(X1, xor(X2, a))", "penc(c, b)", {"X1": "c", "X2": "xor(a, b)"}),
+        ("xor(X, a)", "b", {"X": "xor(a, b)"}),
+    ])
+    def test_non_clash_finds_witness(self, lhs, rhs, witness):
+        problems = [prob(lhs, rhs)]
+        assert not _clashes(problems[0])
+        sigma = Substitution({v: parse_term(t) for v, t in witness.items()})
+        equational = 0
+        for th in legal_theories(problems):
+            found = ground_unifiable(problems, th)
+            assert found == product_reference(problems, th, GenConfig()), th
+            if th in (Theory.ACUN, Theory.COMBINED):
+                assert found, th
+                assert equal_mod(sigma.apply(problems[0].lhs), sigma.apply(problems[0].rhs), th)
+                equational += 1
+        assert equational
+
+    def test_clash_still_raises_bound_exceeded(self):
+        # the ceiling test comes first: a clashing problem whose pool
+        # outgrows the ceiling raises exactly as it did without the rule
+        problems = [prob("penc(X, Y)", "senc(Z, a)")]
+        assert _clashes(problems[0])
+        for th in legal_theories(problems):
+            with pytest.raises(BoundExceeded):
+                ground_unifiable(problems, th, GenConfig(oracle_ceiling=1))
+
+
 class TestGroundUnifiableReference:
     def test_generated_problems_match_product_search(self):
         cfg = GenConfig(seed=17)
         checked = 0
         for i in range(200):
             problems = gen_problem(cfg, i)
-            theories = [Theory.COMBINED]
-            if all(is_pure(s, Theory.STD) for p in problems for s in (p.lhs, p.rhs)):
-                theories.append(Theory.STD)
-            for theory in theories:
+            for theory in legal_theories(problems):
                 assert ground_unifiable(problems, theory, cfg) == \
                     product_reference(problems, theory, cfg), (i, theory)
                 checked += 1
-        assert checked > 200
+        assert checked > 400
 
     def test_pure_xor_problems_match_product_search(self):
         rng = random.Random(17)
