@@ -1,50 +1,16 @@
 #!/usr/bin/env python3
-"""Run the tagged-protocol harness at scale and write the JSON report.
+"""Run the tagged-protocol harness at scale and print the JSON report.
+
+This is ``taggedunify prove-theorem --format json``: it takes the same
+options and exits with the same codes.
 
 Example:
-    python scripts/run_theorem_harness.py --samples 10000 --seed 0 --out report.json
+    python scripts/run_theorem_harness.py --samples 10000 --seed 0 > report.json
 """
 
-import argparse
-import json
 import sys
-import time
 
-from taggedunify.oracle import GenConfig, run_harness
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--samples", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--depth", type=int, default=3)
-    ap.add_argument("--population", default="both",
-                    choices=("both", "non-variables", "no-sequences"))
-    ap.add_argument("--out", default="-", help="output path for the JSON report")
-    args = ap.parse_args()
-
-    cfg = GenConfig(seed=args.seed, samples=args.samples, max_depth=args.depth)
-    t0 = time.perf_counter()
-    report = run_harness(cfg, population=args.population)
-    elapsed = time.perf_counter() - t0
-
-    payload = json.dumps(report.to_jsonable(), sort_keys=True, indent=2)
-    if args.out == "-":
-        print(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    print(
-        f"{args.samples} protocols, {report.pairs_total} pairs, "
-        f"{report.combined_unifiable_pairs} combined-unifiable, "
-        f"{len(report.counterexamples)} counterexamples, "
-        f"{len(report.incomplete)} incomplete in {elapsed:.1f}s",
-        file=sys.stderr,
-    )
-    if report.incomplete:
-        return 3
-    return 0 if not report.counterexamples else 1
-
+from taggedunify.cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(["prove-theorem", "--format", "json", *sys.argv[1:]]))

@@ -12,6 +12,7 @@ when the system is consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable
 
 from .terms import (
@@ -22,6 +23,7 @@ from .terms import (
     Var,
     Xor,
     acun_normal_form,
+    fresh_name,
     is_pure,
     problem_vars,
     sort_key,
@@ -78,19 +80,6 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _fresh_params(taken: Iterable[str], count: int) -> list[str]:
-    # run-scoped _fN counter, renamed away from every input variable
-    used = set(taken)
-    out: list[str] = []
-    n = 1
-    while len(out) < count:
-        name = f"_f{n}"
-        n += 1
-        if name not in used:
-            out.append(name)
-    return out
-
-
 def unify_acun(problems: Iterable[Problem]) -> list[Substitution]:
     """Complete set of most general unifiers for a pure xor problem set.
 
@@ -122,8 +111,10 @@ def unify_acun(problems: Iterable[Problem]) -> list[Substitution]:
     free_used = sorted(
         {k for vm, _ in pivots.values() for k in _bits(vm)} - set(pivots)
     )
-    params = _fresh_params(system.variables, len(free_used))
-    param_term = {k: Var(name) for k, name in zip(free_used, params)}
+    # run-scoped _fN names, renamed away from every input variable
+    taken = set(system.variables)
+    names = (f"_f{n}" for n in count(1))
+    param_term = {k: Var(fresh_name(names, taken)) for k in free_used}
     bindings: dict[str, Term] = {}
     for j in sorted(pivots):
         vm, am = pivots[j]

@@ -37,6 +37,7 @@ only branches that provably cannot succeed:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Iterable, Iterator, NamedTuple
 
 from .acun import unify_acun
@@ -52,6 +53,7 @@ from .terms import (
     children,
     const_names_of,
     equal_mod,
+    fresh_name,
     is_atom,
     is_pure,
     map_args,
@@ -79,7 +81,11 @@ class BscaConfig:
     occurring in xor problems, which preserves unifiability (merging
     variables never rescues the standard side and only xor-side merges
     enable new cancellations) and is what the theorem harness runs with.
-    ``first_only`` stops at the first verified unifier.
+    ``prune`` switches on the pruning rules and prechecks of the module
+    docstring; off, every partition and split is enumerated, which is the
+    reference the pruned search is tested against.  ``first_only`` stops
+    at the first verified unifier, and ``keep_traces`` keeps one
+    :class:`BscaTrace` per attempted branch in the result.
     """
 
     max_partition_vars: int = 9
@@ -144,43 +150,15 @@ class CombinedResult:
     traces: list[BscaTrace] = field(default_factory=list)
 
 
-_VAR_POOL = ("W", "X", "Y", "Z", "U", "V")
+def _fresh_var(taken: set[str]) -> str:
+    """The first of W, X, Y, Z, U, V, W1, X1, ... not taken."""
+    return fresh_name(chain("WXYZUV", (f"{v}{r}" for r in count(1) for v in "WXYZUV")), taken)
 
 
-class FreshNames:
-    """Deterministic fresh-name source, disjoint from a set of taken names.
-
-    Variables are drawn from W, X, Y, Z, U, V and then numbered rounds
-    (W1, X1, ...); fresh constants are derived from the variable they
-    replace by lowercasing, with a numeric suffix on collision.
-    """
-
-    def __init__(self, taken: Iterable[str] = ()):
-        self._taken = set(taken)
-        self._i = 0
-        self.allocated: list[str] = []
-
-    def var(self) -> str:
-        while True:
-            base = _VAR_POOL[self._i % len(_VAR_POOL)]
-            round_no = self._i // len(_VAR_POOL)
-            self._i += 1
-            name = base if round_no == 0 else f"{base}{round_no}"
-            if name not in self._taken:
-                self._taken.add(name)
-                self.allocated.append(name)
-                return name
-
-
-def fresh_const_name(var_name: str, taken: set[str]) -> str:
+def _fresh_const(var_name: str, taken: set[str]) -> str:
+    """The first of ``var_name`` lowercased, then numbered, not taken."""
     base = var_name.lower()
-    name = base
-    n = 1
-    while name in taken:
-        name = f"{base}{n}"
-        n += 1
-    taken.add(name)
-    return name
+    return fresh_name(chain((base,), map(f"{base}{{}}".format, count(1))), taken)
 
 
 def _dedup(problems: Iterable[Problem]) -> list[Problem]:
@@ -194,7 +172,7 @@ def _dedup(problems: Iterable[Problem]) -> list[Problem]:
 
 
 def _purify_term(
-    t: Term, fresh: FreshNames, defs: list[Problem], cache: dict[Term, str]
+    t: Term, taken: set[str], defs: list[Problem], cache: dict[Term, str]
 ) -> Term:
     if is_atom(t):
         return t
@@ -203,14 +181,14 @@ def _purify_term(
     def fix(c: Term) -> Term:
         c_side = side_of(c)
         if c_side is None or c_side == own:
-            return _purify_term(c, fresh, defs, cache)
+            return _purify_term(c, taken, defs, cache)
         # an alien subterm, or an atom of the other signature: atoms belong
         # to a side too (full signature disjointness), which is what lets
         # identification equate an abstraction variable with a constant's
         # stand-in, as completeness needs
         if c not in cache:
-            pure = _purify_term(c, fresh, defs, cache)
-            cache[c] = fresh.var()
+            pure = _purify_term(c, taken, defs, cache)
+            cache[c] = _fresh_var(taken)
             defs.append(Problem(Var(cache[c]), pure))
         return Var(cache[c])
 
@@ -218,7 +196,7 @@ def _purify_term(
 
 
 def purify_terms(
-    problems: Iterable[Problem], fresh: FreshNames | None = None
+    problems: Iterable[Problem], taken: set[str] | None = None
 ) -> tuple[list[Problem], frozenset[str]]:
     """Step 1: make every term pure by abstracting alien subterms into fresh
     variables with defining problems.  Repeated occurrences of one alien
@@ -226,44 +204,46 @@ def purify_terms(
 
     A problem whose two sides head into different theories is abstracted on
     the left as well (fresh ``W`` with ``W ~? lhs`` emitted first), so the
-    output is already problem-pure for such inputs.  Returns the purified
-    problem list and the set of introduced variable names.
+    output is already problem-pure for such inputs.  Fresh names avoid
+    ``taken`` (default: the problems' variables) and are added to it.
+    Returns the purified problem list and the set of introduced names.
     """
     probs = list(problems)
-    fresh = fresh or FreshNames(problem_vars(probs))
-    start = len(fresh.allocated)
+    taken = set(problem_vars(probs)) if taken is None else taken
+    before = set(taken)
     cache: dict[Term, str] = {}
     out: list[Problem] = []
     for p in probs:
         defs: list[Problem] = []
         if not (is_atom(p.lhs) or is_atom(p.rhs)) and side_of(p.lhs) != side_of(p.rhs):
-            w = fresh.var()
-            defs.append(Problem(Var(w), _purify_term(p.lhs, fresh, defs, cache)))
-            main = Problem(Var(w), _purify_term(p.rhs, fresh, defs, cache))
+            w = _fresh_var(taken)
+            defs.append(Problem(Var(w), _purify_term(p.lhs, taken, defs, cache)))
+            main = Problem(Var(w), _purify_term(p.rhs, taken, defs, cache))
         else:
             main = Problem(
-                _purify_term(p.lhs, fresh, defs, cache),
-                _purify_term(p.rhs, fresh, defs, cache),
+                _purify_term(p.lhs, taken, defs, cache),
+                _purify_term(p.rhs, taken, defs, cache),
             )
         out.extend(defs)
         out.append(main)
-    return _dedup(out), frozenset(fresh.allocated[start:])
+    return _dedup(out), frozenset(taken - before)
 
 
 def purify_problems(
-    problems: Iterable[Problem], fresh: FreshNames | None = None
+    problems: Iterable[Problem], taken: set[str] | None = None
 ) -> list[Problem]:
     """Step 2: make both sides of every problem belong to one theory, by
     splitting any leftover cross-theory problem ``s ~? t`` into ``V ~? s``
     and ``V ~? t`` with a fresh variable.  Variables and atoms count as
-    belonging to either theory."""
+    belonging to either theory.  Fresh names avoid ``taken`` as in
+    :func:`purify_terms`."""
     probs = list(problems)
-    fresh = fresh or FreshNames(problem_vars(probs))
+    taken = set(problem_vars(probs)) if taken is None else taken
     out: list[Problem] = []
     for p in probs:
         lc, rc = side_of(p.lhs), side_of(p.rhs)
         if lc is not None and rc is not None and lc != rc:
-            v = fresh.var()
+            v = _fresh_var(taken)
             out.append(Problem(Var(v), p.lhs))
             out.append(Problem(Var(v), p.rhs))
         else:
@@ -436,7 +416,7 @@ def solve_systems(
         taken = set(taken_base)
         beta: dict[str, str] = {}
         for v in sorted(set(v1) & vars42 | set(v2) & vars41):
-            beta[v] = fresh_const_name(v, taken)
+            beta[v] = _fresh_const(v, taken)
         sub1 = Substitution({v: Const(beta[v]) for v in v2 if v in vars41})
         sub2 = Substitution({v: Const(beta[v]) for v in v1 if v in vars42})
         gamma51 = [sub1.apply_problem(p) for p in g41]
@@ -450,16 +430,14 @@ def solve_systems(
 
 
 def _some_split_may_unify(
-    g41: list[Problem], g42: list[Problem], taken_consts: set[str]
+    g41: list[Problem], g42: list[Problem], spare: dict[str, Const]
 ) -> bool:
     """Per-partition precheck: False when no pruned split of this split
     problem set can succeed (see the module docstring for the argument).
-    The xor side runs first: it is the cheaper solve and fails more often."""
+    ``spare`` gives every variable its own fresh constant.  The xor side
+    runs first: it is the cheaper solve and fails more often."""
     roles = _variable_roles(g41, g42, prune=True)
-    taken = set(taken_consts)
-    ground = Substitution({
-        v: Const(fresh_const_name(v, taken)) for v in sorted(roles.fixed1 & roles.vars42)
-    })
+    ground = Substitution({v: spare[v] for v in roles.fixed1 & roles.vars42})
     if not unify_acun([ground.apply_problem(p) for p in g42]):
         return False
     return unify_std(g41) is not None
@@ -554,9 +532,9 @@ def unify_combined(
     """
     probs = list(problems)
     orig_vars = sorted(problem_vars(probs))
-    fresh = FreshNames(orig_vars)
-    gamma1, _ = purify_terms(probs, fresh)
-    gamma2 = purify_problems(gamma1, fresh)
+    taken_vars = set(orig_vars)
+    gamma1, _ = purify_terms(probs, taken_vars)
+    gamma2 = purify_problems(gamma1, taken_vars)
     for p in gamma2:  # purification postconditions, checked every run
         for side in (p.lhs, p.rhs):
             if not (is_pure(side, Theory.STD) or is_pure(side, Theory.ACUN)):
@@ -578,11 +556,16 @@ def unify_combined(
     taken_consts: set[str] = set()
     for p in probs:
         taken_consts |= const_names_of(p.lhs) | const_names_of(p.rhs)
+    # the precheck's grounded sets never reach a trace, so its constants are
+    # named once per call rather than per partition; taken_vars now holds
+    # every variable of gamma2
+    spare_taken = set(taken_consts)
+    spare = {v: Const(_fresh_const(v, spare_taken)) for v in sorted(taken_vars)}
 
     for partition, gamma3 in variable_identifications(gamma2, cfg, scope):
         rep = {v: b[0] for b in partition for v in b}
         g41, g42 = split_problems(gamma3)
-        if cfg.prune and not _some_split_may_unify(g41, g42, taken_consts):
+        if cfg.prune and not _some_split_may_unify(g41, g42, spare):
             continue
         for attempt in solve_systems(g41, g42, cfg, taken_consts):
             branches += 1

@@ -55,7 +55,10 @@ def caps_from_env(base: BscaConfig | None = None) -> BscaConfig:
             continue
         try:
             key, value = part.split("=", 1)
-            overrides[_CAP_KEYS[key.strip()]] = int(value)
+            cap = int(value)
+            if cap < 0:
+                raise ValueError(f"negative cap {cap}")
+            overrides[_CAP_KEYS[key.strip()]] = cap
         except (ValueError, KeyError) as exc:
             raise ValueError(f"bad TAGGEDUNIFY_CAPS entry {part!r}") from exc
     return dataclasses.replace(base, **overrides)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bsca import BscaConfig, ChoiceSpaceExceeded, unify_combined
@@ -49,6 +49,7 @@ from .terms import (
     const_names_of,
     decompose,
     equal_mod,
+    fresh_name,
     interm_occurrences,
     is_atom,
     map_args,
@@ -74,38 +75,32 @@ class GenConfig:
     """
 
     max_depth: int = 3
-    max_xor_width: int = 3
-    var_pool: int = 2
-    atom_pool: int = 3
     seed: int = 0
     samples: int = 100
     oracle_ceiling: int = 400_000
 
     def __post_init__(self) -> None:
-        for name in ("max_depth", "max_xor_width", "var_pool", "atom_pool",
-                     "samples", "oracle_ceiling"):
+        for name in ("max_depth", "samples", "oracle_ceiling"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
 
-_CONST_NAMES = ("a", "b", "c", "d", "e", "g", "h", "m")
-_VAR_NAMES = ("A", "B", "N", "M", "K", "L", "P", "Q")
+MAX_XOR_WIDTH = 3  # widest generated xor; the oracle's combination bound reads it too
+_CONST_NAMES = ("a", "b", "c")
+_VAR_NAMES = ("A", "B")
 
 
 def _rng_for(cfg: GenConfig, index: int) -> random.Random:
     return random.Random(cfg.seed * 1_000_003 + index)
 
 
-def _leaf_maker(rng: random.Random, cfg: GenConfig, var_chance: float = 0.35) -> Callable[[], Term]:
-    consts = _CONST_NAMES[: cfg.atom_pool]
-    var_names = _VAR_NAMES[: cfg.var_pool]
-
+def _leaf_maker(rng: random.Random, var_chance: float = 0.35) -> Callable[[], Term]:
     def leaf() -> Term:
         if rng.random() < var_chance:
-            return Var(rng.choice(var_names))
-        return Const(rng.choice(consts))
+            return Var(rng.choice(_VAR_NAMES))
+        return Const(rng.choice(_CONST_NAMES))
 
     return leaf
 
@@ -128,9 +123,9 @@ def gen_message(rng: random.Random, cfg: GenConfig) -> Term:
     """One random protocol message: usually a top-level xor of standard-theory
     summands, at most one of which hides a nested xor (keeps the variable
     count of purified message pairs within the default enumeration caps)."""
-    leaf = _leaf_maker(rng, cfg)
+    leaf = _leaf_maker(rng)
     if rng.random() < 0.7:
-        width = rng.randint(2, cfg.max_xor_width)
+        width = rng.randint(2, MAX_XOR_WIDTH)
         nested_slot = rng.randrange(width) if rng.random() < 0.35 else -1
         items = []
         for k in range(width):
@@ -144,10 +139,10 @@ def gen_message(rng: random.Random, cfg: GenConfig) -> Term:
     return _gen_std(rng, max(1, cfg.max_depth - 1), leaf)
 
 
-def _vary(rng: random.Random, cfg: GenConfig, t: Term) -> Term:
+def _vary(rng: random.Random, t: Term) -> Term:
     # structural variant: same skeleton, some leaves swapped for other
     # atoms or variables (protocols reuse message shapes across steps)
-    leaf = _leaf_maker(rng, cfg, var_chance=0.5)
+    leaf = _leaf_maker(rng, var_chance=0.5)
 
     def walk(u: Term) -> Term:
         if is_atom(u):
@@ -163,7 +158,7 @@ def gen_raw_protocol(cfg: GenConfig, index: int = 0) -> list[Term]:
     rng = _rng_for(cfg, index)
     msgs = [gen_message(rng, cfg) for _ in range(rng.randint(2, 3))]
     if rng.random() < 0.4:
-        msgs.append(_vary(rng, cfg, rng.choice(msgs)))
+        msgs.append(_vary(rng, rng.choice(msgs)))
     return msgs
 
 
@@ -178,10 +173,10 @@ def gen_untagged_set(cfg: GenConfig, index: int = 0) -> list[Term]:
     show that equational unifiability genuinely exceeds free unifiability
     when no tags are present."""
     rng = _rng_for(cfg, index * 2 + 1)
-    leaf = _leaf_maker(rng, cfg, var_chance=0.45)
+    leaf = _leaf_maker(rng, var_chance=0.45)
     out = []
     for _ in range(rng.randint(2, 3)):
-        width = rng.randint(2, cfg.max_xor_width)
+        width = rng.randint(2, MAX_XOR_WIDTH)
         items = tuple(
             leaf() if rng.random() < 0.7 else _gen_std(rng, 1, leaf) for _ in range(width)
         )
@@ -190,10 +185,9 @@ def gen_untagged_set(cfg: GenConfig, index: int = 0) -> list[Term]:
 
 
 def _linear_leaf_maker(
-    rng: random.Random, cfg: GenConfig, prefix: str, budget: list[int]
+    rng: random.Random, prefix: str, budget: list[int]
 ) -> Callable[[], Term]:
     # every variable is fresh (linear) and side-prefixed (variable-disjoint)
-    consts = _CONST_NAMES[: cfg.atom_pool]
     counter = [0]
 
     def leaf() -> Term:
@@ -201,7 +195,7 @@ def _linear_leaf_maker(
             budget[0] -= 1
             counter[0] += 1
             return Var(f"{prefix}{counter[0]}")
-        return Const(rng.choice(consts))
+        return Const(rng.choice(_CONST_NAMES))
 
     return leaf
 
@@ -218,11 +212,11 @@ def gen_problem(cfg: GenConfig, index: int = 0) -> list[Problem]:
     budget = [3 if kind == "std" else 2]
 
     def side(prefix: str) -> Term:
-        leaf = _linear_leaf_maker(rng, cfg, prefix, budget)
+        leaf = _linear_leaf_maker(rng, prefix, budget)
         if kind == "std":
             return _gen_std(rng, rng.randint(1, 2), leaf)
         if kind == "acun":
-            width = rng.randint(2, cfg.max_xor_width)
+            width = rng.randint(2, MAX_XOR_WIDTH)
             return xor_of([leaf() for _ in range(width)])
         # mixed: a standard skeleton with one embedded xor of leaves
         t = _gen_std(rng, 1, leaf)
@@ -235,14 +229,6 @@ def gen_problem(cfg: GenConfig, index: int = 0) -> list[Problem]:
     if rng.random() < 0.2:
         problems.append(Problem(side("U"), side("V")))
     return problems
-
-
-def _spare_const(problems: Sequence[Problem]) -> Const:
-    taken = set().union(*(const_names_of(s) for p in problems for s in (p.lhs, p.rhs)))
-    n = 0
-    while f"u{n}" in taken:
-        n += 1
-    return Const(f"u{n}")
 
 
 def _aligned_stops(lhs: Term, rhs: Term) -> Iterator[tuple[Term, Term]]:
@@ -277,8 +263,9 @@ def _clashes(p: Problem) -> bool:
     )
 
 
-def _candidate_pool(problems: Sequence[Problem], theory: Theory, cfg: GenConfig) -> list[Term]:
-    spare = _spare_const(problems)
+def _candidate_pool(problems: Sequence[Problem], theory: Theory) -> list[Term]:
+    taken = set().union(*(const_names_of(s) for p in problems for s in (p.lhs, p.rhs)))
+    spare = Const(fresh_name((f"u{n}" for n in count()), taken))
     xorish = theory in (Theory.ACUN, Theory.COMBINED)
     subs = subterms_of_set([s for p in problems for s in (p.lhs, p.rhs)])
 
@@ -322,7 +309,7 @@ def _candidate_pool(problems: Sequence[Problem], theory: Theory, cfg: GenConfig)
             add(combo_base, combo_seen, ground(u))
     pool = list(base)
     pool_seen = set(seen)
-    for size in range(2, 2 * cfg.max_xor_width):
+    for size in range(2, 2 * MAX_XOR_WIDTH):
         for combo in combinations(combo_base, size):
             add(pool, pool_seen, acun_normal_form(xor_of(combo)))
     return pool
@@ -395,7 +382,7 @@ def ground_unifiable(
     names = sorted(problem_vars(probs))
     if not names:
         return all(equal_mod(p.lhs, p.rhs, theory) for p in probs)
-    pool = _candidate_pool(probs, theory, cfg)
+    pool = _candidate_pool(probs, theory)
     total = len(pool) ** len(names)
     if total > cfg.oracle_ceiling:
         raise BoundExceeded(

@@ -340,6 +340,15 @@ def equal_mod(t1: Term, t2: Term, th: Theory) -> bool:
     return acun_normal_form(t1) == acun_normal_form(t2)
 
 
+def fresh_name(candidates: Iterable[str], taken: set[str]) -> str:
+    """The first candidate not in ``taken``, which is added to ``taken``."""
+    for name in candidates:
+        if name not in taken:
+            taken.add(name)
+            return name
+    raise ValueError("candidate names exhausted")
+
+
 @dataclass(frozen=True, slots=True)
 class Problem:
     """A single unification problem: make ``lhs`` and ``rhs`` equal modulo

@@ -35,22 +35,10 @@ class Substitution:
     def apply_problem(self, p: Problem) -> Problem:
         return Problem(self.apply(p.lhs), self.apply(p.rhs))
 
-    def compose(self, other: "Substitution") -> "Substitution":
-        """Substitution equivalent to applying ``self`` first, then ``other``:
-        ``compose(s, r).apply(t) == r.apply(s.apply(t))`` for all ``t``."""
-        out: dict[str, Term] = {}
-        for v, t in self.bindings.items():
-            t2 = other.apply(t)
-            if not (isinstance(t2, Var) and t2.name == v):
-                out[v] = t2
-        for v, t in other.bindings.items():
-            if v not in self.bindings:
-                out[v] = t
-        return Substitution(out)
-
     def is_idempotent(self) -> bool:
-        bound = set(self.bindings)
-        return all(not (vars_of(t) & bound) for t in self.bindings.values())
+        """Whether no bound variable occurs in a binding; each shared node
+        of a binding is visited once, so a DAG-shaped unifier stays cheap."""
+        return not any(occurs(x, t, {}) for t in self.bindings.values() for x in self.bindings)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self.bindings == other.bindings

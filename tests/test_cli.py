@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from taggedunify.cli import main
 
 WORKED_EXAMPLE = "penc([1, n_a], pk(B)) ~? penc([1, N_B], pk(a)) + [2, A] + [2, b]"
@@ -93,6 +95,16 @@ class TestUnify:
         )
         assert code == 3
         assert "cap" in err.lower() or "exceed" in err.lower()
+
+    @pytest.mark.parametrize("entry", ["branches=-1", "partition-vars=-5"])
+    def test_negative_cap_is_an_input_error(self, capsys, monkeypatch, entry):
+        monkeypatch.setenv("TAGGEDUNIFY_CAPS", entry)
+        code, out, err = run(
+            capsys, "unify", "-e", "[X, Y, Z] ~? [penc(a, k), b, xor(c, d)] @combined"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"bad TAGGEDUNIFY_CAPS entry {entry!r}" in err
 
     def test_pure_part_clash_is_negative_not_capped(self, capsys):
         # ten variables exceed the default partition cap, but the standard
@@ -256,25 +268,30 @@ class TestGoldenFiles:
         assert "not unifiable" in out
 
 
+SCRIPTS = GOLDEN.parent / "scripts"
+
+# every script's smoke argv and a check on its stdout
+SMOKE = {
+    "walk_worked_example.py": (
+        (), lambda out: "tagged protocol satisfied: True" in out
+    ),
+    "run_theorem_harness.py": (
+        ("--samples", "3"), lambda out: json.loads(out)["samples"] == 3
+    ),
+}
+
+
 class TestScripts:
     """The scripts run in a fresh process, as a user would start them."""
 
-    @staticmethod
-    def run_script(*argv: str) -> subprocess.CompletedProcess:
-        root = GOLDEN.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        return subprocess.run(
-            [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+    @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+    def test_smoke(self, script):
+        assert script in SMOKE, f"{script} has no smoke argv"
+        argv, check = SMOKE[script]
+        env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / script), *argv],
             env=env, capture_output=True, text=True, timeout=300,
         )
-
-    def test_walk_worked_example(self):
-        done = self.run_script("walk_worked_example.py")
         assert done.returncode == 0, done.stderr
-        assert "tagged protocol satisfied: True" in done.stdout
-
-    def test_run_theorem_harness(self, tmp_path):
-        out = tmp_path / "report.json"
-        done = self.run_script("run_theorem_harness.py", "--samples", "3", "--out", str(out))
-        assert done.returncode == 0, done.stderr
-        assert json.loads(out.read_text())["samples"] == 3
+        assert check(done.stdout)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import product
@@ -18,6 +19,7 @@ from taggedunify.oracle import (
     gen_dnut_protocol,
     gen_problem,
     gen_raw_protocol,
+    gen_untagged_set,
     ground_unifiable,
     run_harness,
     shrink_pair,
@@ -35,7 +37,7 @@ from taggedunify.terms import (
     problem_vars,
     xor_of,
 )
-from taggedunify.textfmt import parse_term
+from taggedunify.textfmt import parse_term, render_term
 from taggedunify.unify import Substitution, unify_free_xor
 
 
@@ -65,13 +67,13 @@ class TestGroundUnifiable:
             )
 
 
-def product_reference(problems, theory, cfg):
+def product_reference(problems, theory):
     """The plain search over one product of all variables, kept as the
     reference for the per-component search."""
     names = sorted(problem_vars(problems))
     if not names:
         return all(equal_mod(p.lhs, p.rhs, theory) for p in problems)
-    for values in product(_candidate_pool(problems, theory, cfg), repeat=len(names)):
+    for values in product(_candidate_pool(problems, theory), repeat=len(names)):
         sigma = Substitution(dict(zip(names, values)))
         if all(equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), theory) for p in problems):
             return True
@@ -100,7 +102,7 @@ class TestFixedPositionClash:
         assert _clashes(problems[0])
         for th in legal_theories(problems):
             assert not ground_unifiable(problems, th), th
-            assert not product_reference(problems, th, GenConfig()), th
+            assert not product_reference(problems, th), th
 
     @pytest.mark.parametrize("lhs, rhs, witness", [
         ("penc(X1, xor(X2, a))", "penc(c, b)", {"X1": "c", "X2": "xor(a, b)"}),
@@ -113,7 +115,7 @@ class TestFixedPositionClash:
         equational = 0
         for th in legal_theories(problems):
             found = ground_unifiable(problems, th)
-            assert found == product_reference(problems, th, GenConfig()), th
+            assert found == product_reference(problems, th), th
             if th in (Theory.ACUN, Theory.COMBINED):
                 assert found, th
                 assert equal_mod(sigma.apply(problems[0].lhs), sigma.apply(problems[0].rhs), th)
@@ -138,7 +140,7 @@ class TestGroundUnifiableReference:
             problems = gen_problem(cfg, i)
             for theory in legal_theories(problems):
                 assert ground_unifiable(problems, theory, cfg) == \
-                    product_reference(problems, theory, cfg), (i, theory)
+                    product_reference(problems, theory), (i, theory)
                 checked += 1
         assert checked > 400
 
@@ -153,7 +155,7 @@ class TestGroundUnifiableReference:
         for _ in range(100):
             problems = [Problem(side(), side()) for _ in range(rng.randint(1, 2))]
             assert ground_unifiable(problems, Theory.ACUN, cfg) == \
-                product_reference(problems, Theory.ACUN, cfg), problems
+                product_reference(problems, Theory.ACUN), problems
 
 
 class TestFreeUnifiable:
@@ -211,6 +213,39 @@ class TestGenerators:
                 assert len(names) == len(set(names))  # linear
                 assert not (set(names) & seen)  # disjoint across sides
                 seen |= set(names)
+
+
+def rendered_digest(sets) -> str:
+    """sha256 over the rendering of generated sets, one set per line."""
+    lines = []
+    for items in sets:
+        lines.append(" ; ".join(
+            f"{render_term(u.lhs)} ~? {render_term(u.rhs)}" if isinstance(u, Problem)
+            else render_term(u)
+            for u in items
+        ))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestGeneratorOutputPinned:
+    """The generators' output at the seeds the acceptance tests and the
+    benchmark corpora use, pinned by hash: a change to a generator, its
+    pools or its rng stream shows here first."""
+
+    def test_gen_problem(self):
+        sets = [gen_problem(GenConfig(seed=s), i) for s in (1, 61) for i in range(200)]
+        assert rendered_digest(sets) == \
+            "07d93fc067d70d381e32ae198a2f534335f2040d0c47482dce6ef3b7814d93f1"
+
+    def test_gen_dnut_protocol(self):
+        sets = [gen_dnut_protocol(GenConfig(seed=20260809), i) for i in range(100)]
+        assert rendered_digest(sets) == \
+            "cf10fd63c157b7698f5fb3d21e007588f861b9084a7e4da927120d369be04b4c"
+
+    def test_gen_untagged_set(self):
+        sets = [gen_untagged_set(GenConfig(seed=31), i) for i in range(100)]
+        assert rendered_digest(sets) == \
+            "c7d6c0ae6e1cffdde3ad03b3008acf356349425c75203a8f3c104705808300aa"
 
 
 class TestCheckTheorem:

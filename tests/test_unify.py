@@ -54,28 +54,6 @@ class TestApply:
         assert s.apply(s.apply(t)) == s.apply(t)
 
 
-class TestCompose:
-    def test_chained(self):
-        s = Substitution({"X": Var("Y")})
-        r = Substitution({"Y": Const("a")})
-        assert s.compose(r).bindings == {"X": Const("a"), "Y": Const("a")}
-
-    def test_right_identity(self):
-        s = Substitution({"X": Const("a")})
-        assert s.compose(Substitution()) == s
-
-    def test_left_binding_wins(self):
-        s = Substitution({"X": Const("a")})
-        r = Substitution({"X": Const("b")})
-        assert s.compose(r).bindings == {"X": Const("a")}
-
-    @given(terms(max_leaves=8))
-    def test_defining_equation(self, t):
-        s = Substitution({"A": Var("B")})
-        r = Substitution({"B": Const("c"), "N_B": Const("a")})
-        assert s.compose(r).apply(t) == r.apply(s.apply(t))
-
-
 class TestUnifyStd:
     def test_decompose_and_bind(self):
         got = unify_std([prob("[1, A]", "[1, b]")])
@@ -127,7 +105,7 @@ class TestUnifyStd:
         )
         assert matcher is not None
         for v in names:
-            assert sigma.compose(matcher).apply(Var(v)) == rho.apply(Var(v))
+            assert matcher.apply(sigma.apply(Var(v))) == rho.apply(Var(v))
 
 
 class TestUnifyFreeXor:
@@ -278,3 +256,4 @@ class TestDoublingChain:
         depth, names = dag_depth_and_vars(sigma.bindings["X40"])
         assert depth == 40
         assert names == {"X0"}
+        assert sigma.is_idempotent()
