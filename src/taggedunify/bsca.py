@@ -116,33 +116,6 @@ class BscaTrace:
     sigma2: Substitution | None
     combined: Substitution | None
 
-    def to_jsonable(self) -> dict:
-        from .textfmt import problem_to_jsonable, substitution_to_jsonable
-
-        def probs(ps):
-            return [problem_to_jsonable(p) for p in ps]
-
-        def sub(s):
-            return None if s is None else substitution_to_jsonable(s)
-
-        return {
-            "gamma0": probs(self.gamma0),
-            "gamma1": probs(self.gamma1),
-            "gamma2": probs(self.gamma2),
-            "var_id_partition": [list(b) for b in self.var_id_partition],
-            "gamma3": probs(self.gamma3),
-            "gamma41": probs(self.gamma41),
-            "gamma42": probs(self.gamma42),
-            "var_split": [list(self.var_split[0]), list(self.var_split[1])],
-            "beta": dict(sorted(self.beta.items())),
-            "gamma51": probs(self.gamma51),
-            "gamma52": probs(self.gamma52),
-            "linear_order": None if self.linear_order is None else list(self.linear_order),
-            "sigma1": sub(self.sigma1),
-            "sigma2": sub(self.sigma2),
-            "combined": sub(self.combined),
-        }
-
 
 @dataclass
 class CombinedResult:
@@ -195,21 +168,19 @@ def _purify_term(
     return rebuild(t, tuple(fix(c) for c in children(t)))
 
 
-def purify_terms(
-    problems: Iterable[Problem], taken: set[str] | None = None
-) -> tuple[list[Problem], frozenset[str]]:
+def purify_terms(problems: Iterable[Problem]) -> tuple[list[Problem], frozenset[str]]:
     """Step 1: make every term pure by abstracting alien subterms into fresh
     variables with defining problems.  Repeated occurrences of one alien
     subterm share the abstraction variable.
 
     A problem whose two sides head into different theories is abstracted on
     the left as well (fresh ``W`` with ``W ~? lhs`` emitted first), so the
-    output is already problem-pure for such inputs.  Fresh names avoid
-    ``taken`` (default: the problems' variables) and are added to it.
-    Returns the purified problem list and the set of introduced names.
+    output is already problem-pure for such inputs.  Fresh names avoid the
+    problems' variables.  Returns the purified problem list and the set of
+    introduced names.
     """
     probs = list(problems)
-    taken = set(problem_vars(probs)) if taken is None else taken
+    taken = set(problem_vars(probs))
     before = set(taken)
     cache: dict[Term, str] = {}
     out: list[Problem] = []
@@ -229,16 +200,14 @@ def purify_terms(
     return _dedup(out), frozenset(taken - before)
 
 
-def purify_problems(
-    problems: Iterable[Problem], taken: set[str] | None = None
-) -> list[Problem]:
+def purify_problems(problems: Iterable[Problem]) -> list[Problem]:
     """Step 2: make both sides of every problem belong to one theory, by
     splitting any leftover cross-theory problem ``s ~? t`` into ``V ~? s``
     and ``V ~? t`` with a fresh variable.  Variables and atoms count as
-    belonging to either theory.  Fresh names avoid ``taken`` as in
-    :func:`purify_terms`."""
+    belonging to either theory.  Fresh names avoid the problems'
+    variables."""
     probs = list(problems)
-    taken = set(problem_vars(probs)) if taken is None else taken
+    taken = set(problem_vars(probs))
     out: list[Problem] = []
     for p in probs:
         lc, rc = side_of(p.lhs), side_of(p.rhs)
@@ -288,8 +257,6 @@ def variable_identifications(
     compat_cache: dict[tuple[str, str], bool] = {}
 
     def compatible(u: str, v: str) -> bool:
-        if not cfg.prune:
-            return True
         du, dv = defs.get(u), defs.get(v)
         if not du or not dv:
             return True
@@ -390,7 +357,6 @@ def solve_systems(
     g41: Iterable[Problem],
     g42: Iterable[Problem],
     cfg: BscaConfig = BscaConfig(),
-    taken_consts: Iterable[str] = (),
 ) -> Iterator[SplitAttempt]:
     """Step 5: enumerate two-block splits {V1, V2} of the live variables.
 
@@ -404,7 +370,7 @@ def solve_systems(
     vars41, vars42, fixed1, fixed2, choice = _variable_roles(g41, g42, cfg.prune)
     all_vars = sorted(vars41 | vars42)
 
-    taken_base = set(taken_consts)
+    taken_base: set[str] = set()
     for p in g41 + g42:
         taken_base |= const_names_of(p.lhs) | const_names_of(p.rhs)
 
@@ -532,9 +498,8 @@ def unify_combined(
     """
     probs = list(problems)
     orig_vars = sorted(problem_vars(probs))
-    taken_vars = set(orig_vars)
-    gamma1, _ = purify_terms(probs, taken_vars)
-    gamma2 = purify_problems(gamma1, taken_vars)
+    gamma1, _ = purify_terms(probs)
+    gamma2 = purify_problems(gamma1)
     for p in gamma2:  # purification postconditions, checked every run
         for side in (p.lhs, p.rhs):
             if not (is_pure(side, Theory.STD) or is_pure(side, Theory.ACUN)):
@@ -552,22 +517,20 @@ def unify_combined(
 
     seen: set = set()
     branches = 0
-    # purification adds no constants, so these names hold for every partition
-    taken_consts: set[str] = set()
-    for p in probs:
-        taken_consts |= const_names_of(p.lhs) | const_names_of(p.rhs)
     # the precheck's grounded sets never reach a trace, so its constants are
-    # named once per call rather than per partition; taken_vars now holds
-    # every variable of gamma2
-    spare_taken = set(taken_consts)
-    spare = {v: Const(_fresh_const(v, spare_taken)) for v in sorted(taken_vars)}
+    # named once per call rather than per partition; purification adds no
+    # constants, so the input's hold for every partition
+    spare_taken: set[str] = set()
+    for p in probs:
+        spare_taken |= const_names_of(p.lhs) | const_names_of(p.rhs)
+    spare = {v: Const(_fresh_const(v, spare_taken)) for v in sorted(problem_vars(gamma2))}
 
     for partition, gamma3 in variable_identifications(gamma2, cfg, scope):
         rep = {v: b[0] for b in partition for v in b}
         g41, g42 = split_problems(gamma3)
         if cfg.prune and not _some_split_may_unify(g41, g42, spare):
             continue
-        for attempt in solve_systems(g41, g42, cfg, taken_consts):
+        for attempt in solve_systems(g41, g42, cfg):
             branches += 1
             if branches > cfg.max_branches:
                 raise ChoiceSpaceExceeded(

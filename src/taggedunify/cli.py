@@ -3,7 +3,9 @@
 Subcommands: ``unify``, ``dnut check``, ``dnut tag``, ``prove-theorem`` and
 ``parse`` (round-trip debug).  Input is a path, ``-`` for stdin, or inline
 text via ``-e``.  Exit codes: 0 success/unifiable/satisfied, 1 negative
-result, 2 input error, 3 enumeration caps hit.
+result, 2 input error (also an ``OSError`` in any subcommand, reading or
+writing), 3 enumeration caps hit.  :func:`main` is the one place errors map
+to exit codes.
 
 The environment variable ``TAGGEDUNIFY_CAPS`` overrides enumeration caps,
 e.g. ``TAGGEDUNIFY_CAPS="partition-vars=12,branches=50000"``.
@@ -26,7 +28,9 @@ from .terms import Problem, Theory
 from .textfmt import (
     ParseError,
     ProblemFile,
+    jsonable,
     parse_problem_file,
+    render_problem_file,
     render_substitution,
     render_term,
     substitution_to_jsonable,
@@ -90,36 +94,22 @@ def _problems_and_theory(pf: ProblemFile, flag: str | None) -> tuple[list[Proble
 
 
 def cmd_unify(args: argparse.Namespace) -> int:
-    try:
-        pf = parse_problem_file(_read_input(args))
-        problems, theory = _problems_and_theory(pf, args.theory)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    pf = parse_problem_file(_read_input(args))
+    problems, theory = _problems_and_theory(pf, args.theory)
     caps = caps_from_env()
     traces = None
-    try:
-        if theory is Theory.STD:
-            sigma = unify_std(problems)
-            unifiers = [sigma] if sigma is not None else []
-        elif theory is Theory.FREE_XOR:
-            sigma = unify_free_xor(problems)
-            unifiers = [sigma] if sigma is not None else []
-        elif theory is Theory.ACUN:
-            unifiers = unify_acun(problems)
-        else:
-            result = unify_combined(
-                problems, dataclasses.replace(caps, keep_traces=args.explain)
-            )
-            unifiers = result.unifiers
-            traces = result.traces
-    except ImpureTermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ChoiceSpaceExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPS
+    if theory is Theory.STD:
+        sigma = unify_std(problems)
+        unifiers = [sigma] if sigma is not None else []
+    elif theory is Theory.FREE_XOR:
+        sigma = unify_free_xor(problems)
+        unifiers = [sigma] if sigma is not None else []
+    elif theory is Theory.ACUN:
+        unifiers = unify_acun(problems)
+    else:
+        result = unify_combined(problems, dataclasses.replace(caps, keep_traces=args.explain))
+        unifiers = result.unifiers
+        traces = result.traces
 
     if args.format == "json":
         for sigma in unifiers:
@@ -132,51 +122,35 @@ def cmd_unify(args: argparse.Namespace) -> int:
             print("not unifiable")
     if args.explain and traces is not None:
         for trace in traces:
-            print(json.dumps(trace.to_jsonable(), sort_keys=True))
+            print(json.dumps(jsonable(trace), sort_keys=True))
     return EXIT_OK if unifiers else EXIT_NEGATIVE
 
 
-def _term_sets(pf: ProblemFile) -> list[tuple[str, list]]:
-    sets = list(pf.sets.items())
-    if pf.terms:
-        sets.insert(0, ("", pf.terms))
-    return sets
-
-
 def cmd_dnut(args: argparse.Namespace) -> int:
-    try:
-        pf = parse_problem_file(_read_input(args))
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    sets = _term_sets(pf)
+    pf = parse_problem_file(_read_input(args))
+    # the bare terms form the anonymous set "", which no set block can be named
+    sets = ({"": pf.terms} if pf.terms else {}) | pf.sets
 
     if args.action == "check":
         all_ok = True
-        for name, terms in sets:
+        for name, terms in sets.items():
             report = dnut_check(terms)
             all_ok &= report.satisfied
-            label = f"{name}: " if name else ""
             if args.format == "json":
-                print(json.dumps({"set": name, **report.to_jsonable()}, sort_keys=True))
+                print(json.dumps({"set": name, **jsonable(report)}, sort_keys=True))
             else:
-                print(f"{label}{report.to_text()}")
+                print(f"{name}: {report.to_text()}" if name else report.to_text())
         return EXIT_OK if all_ok else EXIT_NEGATIVE
 
     # tag: retag every set's messages in order, preserving the input shape
-    for name, terms in sets:
-        tagged = dnut_tag(terms)
-        if args.format == "json":
-            rendered = [render_term(t) for t in tagged]
+    tagged = {name: dnut_tag(terms) for name, terms in sets.items()}
+    if args.format == "json":
+        for name, terms in tagged.items():
+            rendered = [render_term(t) for t in terms]
             print(json.dumps({"set": name, "terms": rendered}, sort_keys=True))
-        elif name:
-            print(f"set {name} {{")
-            for t in tagged:
-                print(f"  {render_term(t)}")
-            print("}")
-        else:
-            for t in tagged:
-                print(render_term(t))
+    else:
+        bare = tagged.pop("", [])
+        sys.stdout.write(render_problem_file(ProblemFile(terms=bare, sets=tagged)))
     return EXIT_OK
 
 
@@ -206,14 +180,7 @@ def cmd_prove_theorem(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    from .textfmt import render_problem_file
-
-    try:
-        pf = parse_problem_file(_read_input(args))
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    sys.stdout.write(render_problem_file(pf))
+    sys.stdout.write(render_problem_file(parse_problem_file(_read_input(args))))
     return EXIT_OK
 
 
@@ -280,9 +247,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ParseError, ImpureTermError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ChoiceSpaceExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPS
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT

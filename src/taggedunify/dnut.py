@@ -12,7 +12,7 @@ makes equational unifiability collapse to free unifiability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .terms import (
     ZERO,
@@ -25,6 +25,7 @@ from .terms import (
     iter_subterms,
     map_args,
 )
+from .textfmt import render_term
 from .unify import unify_free_xor
 
 
@@ -40,24 +41,7 @@ class DnutReport:
     satisfied: bool
     violations: list[DnutViolation]
 
-    def to_jsonable(self) -> dict:
-        from .textfmt import render_term
-
-        return {
-            "satisfied": self.satisfied,
-            "violations": [
-                {
-                    "condition": v.condition,
-                    "witness": [render_term(t) for t in v.witness],
-                    "enclosing": [render_term(t) for t in v.enclosing],
-                }
-                for v in self.violations
-            ],
-        }
-
     def to_text(self) -> str:
-        from .textfmt import render_term
-
         if self.satisfied:
             return "satisfied"
         lines = [f"{len(self.violations)} violation(s)"]
@@ -113,11 +97,15 @@ def dnut_check(terms: Iterable[Term]) -> DnutReport:
     return DnutReport(not violations, violations)
 
 
-def _tag_xor(x: Xor, base: tuple[int, ...]) -> Xor:
+# the base of the c-th maximal xor found below a summand or message path
+_Numbering = Callable[[tuple[int, ...], int], tuple[int, ...]]
+
+
+def _tag_xor(x: Xor, base: tuple[int, ...], nested: _Numbering) -> Xor:
     new_items = []
     for k, item in enumerate(x.items, 1):
         tag = TagConst(base + (k,))
-        content = _tag_below(item, base + (k,))
+        content = _tag_below(item, base + (k,), nested)
         if isinstance(content, Seq):
             wrapped = Seq((tag,) + content.items)
         else:
@@ -126,31 +114,29 @@ def _tag_xor(x: Xor, base: tuple[int, ...]) -> Xor:
     return Xor(tuple(new_items))
 
 
-def _tag_below(t: Term, path: tuple[int, ...]) -> Term:
-    """Tag all xor subterms below ``t``.
-
-    The first maximal xor found (depth-first) extends ``path`` directly,
-    which yields the 3.3.1-style paths for a lone xor nested inside a
-    summand; later sibling xors get an extra disambiguating component.
-    """
+def _tag_below(t: Term, path: tuple[int, ...], nested: _Numbering) -> Term:
+    """Tag all xor subterms below ``t``, numbering maximal xors depth-first."""
     counter = 0
 
     def walk(u: Term) -> Term:
         nonlocal counter
         if isinstance(u, Xor):
             counter += 1
-            base = path if counter == 1 else path + (counter,)
-            return _tag_xor(u, base)
+            return _tag_xor(u, nested(path, counter), nested)
         return map_args(walk, u)
 
     return walk(t)
 
 
-def _tag_messages(messages: Sequence[Term], offset: int) -> list[Term]:
-    return [
-        _tag_xor(m, (i + offset,)) if isinstance(m, Xor) else _tag_below(m, (i + offset,))
-        for i, m in enumerate(messages, 1)
-    ]
+def _hierarchical(path: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """The first xor extends ``path`` directly, which yields the 3.3.1-style
+    paths for a lone xor nested inside a summand; later sibling xors get an
+    extra disambiguating component."""
+    return path if c == 1 else path + (c,)
+
+
+def _tree_address(path: tuple[int, ...], c: int) -> tuple[int, ...]:
+    return path + (c,)
 
 
 def dnut_tag(messages: Sequence[Term]) -> list[Term]:
@@ -164,22 +150,23 @@ def dnut_tag(messages: Sequence[Term]) -> list[Term]:
     summand's tag path.  Messages without xor subterms are returned
     unchanged.
 
-    The deterministic scheme cannot produce two unifiable summands, but the
-    result is re-checked anyway; on the off chance that pre-existing tags in
-    the input collide with assigned ones, tagging retries once with shifted
-    roots before giving up.
+    Every summand head is an assigned tag, so tags already in the input
+    never collide.  The first attempt numbers nested xors as
+    :func:`_hierarchical` does, where a second sibling xor below path p gets
+    base p.2, the base of an xor nested in the first xor's second summand.
+    On such a clash tagging retries with :func:`_tree_address`: every xor
+    below path p gets p.c for c = 1, 2, ..., so tag paths are tree
+    addresses and no two summands share a head tag.  The result is checked
+    either way.
     """
-    out = _tag_messages(messages, 0)
-    if dnut_check(out).satisfied:
-        return out
-    shift = 1 + max(
-        (u.path[0] for m in messages for u in iter_subterms(m) if isinstance(u, TagConst)),
-        default=0,
-    )
-    out = _tag_messages(messages, shift)
-    if dnut_check(out).satisfied:
-        return out
-    raise RuntimeError("tagging failed to satisfy the conditions after retry")
+    for nested in (_hierarchical, _tree_address):
+        out = [
+            _tag_xor(m, (i,), nested) if isinstance(m, Xor) else _tag_below(m, (i,), nested)
+            for i, m in enumerate(messages, 1)
+        ]
+        if dnut_check(out).satisfied:
+            return out
+    raise RuntimeError("tagging failed to satisfy the conditions")
 
 
 def strip_tags(t: Term) -> Term:

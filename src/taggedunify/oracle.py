@@ -60,6 +60,7 @@ from .terms import (
     vars_of,
     xor_of,
 )
+from .textfmt import jsonable
 from .unify import Substitution, occurs, unify_free_xor, walk
 
 
@@ -457,17 +458,7 @@ class PairReport:
     non_sequence: bool
 
     def to_jsonable(self) -> dict:
-        from .textfmt import render_term
-
-        return {
-            "lhs": render_term(self.lhs),
-            "rhs": render_term(self.rhs),
-            "combined": self.combined,
-            "free": self.free,
-            "free_unordered": self.free_unordered,
-            "non_variable": True,  # variables never enter a pair
-            "non_sequence": self.non_sequence,
-        }
+        return {**jsonable(self), "non_variable": True}  # variables never enter a pair
 
 
 @dataclass
@@ -480,15 +471,6 @@ class TheoremReport:
     counterexamples: list[PairReport]
     premise_fail_equational: list[PairReport]
     incomplete: list[PairReport]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dnut_satisfied": self.dnut_satisfied,
-            "pairs": [p.to_jsonable() for p in self.pairs],
-            "counterexamples": [p.to_jsonable() for p in self.counterexamples],
-            "premise_fail_equational": [p.to_jsonable() for p in self.premise_fail_equational],
-            "incomplete": [p.to_jsonable() for p in self.incomplete],
-        }
 
 
 def check_theorem(terms: Iterable[Term], caps: BscaConfig = _HARNESS_CAPS) -> TheoremReport:

@@ -1,5 +1,6 @@
 """Plain-text syntax for terms, problem files and substitutions: the single
-serialization used by the CLI, the tests and the golden files.
+serialization used by the CLI, the tests and the golden files, and the one
+JSON encoder, :func:`jsonable`, built on it.
 
 The grammar is documented in docs/format.md.  In short: identifiers starting
 with an uppercase letter or underscore are variables, lowercase identifiers
@@ -12,7 +13,7 @@ xor.  ``#`` starts a line comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .terms import (
     SIGNATURE,
@@ -309,3 +310,22 @@ def problem_to_jsonable(p: Problem) -> dict[str, str]:
 
 def substitution_to_jsonable(s: Substitution) -> dict[str, str]:
     return {v: render_term(t) for v, t in sorted(s.bindings.items())}
+
+
+def jsonable(value):
+    """The JSON form of a report value: terms as their text, problems as
+    ``{lhs, rhs}``, substitutions as sorted maps, a dataclass as the dict of
+    its fields, tuples and lists as lists and dicts by their values."""
+    if isinstance(value, Term):
+        return render_term(value)
+    if isinstance(value, Problem):
+        return problem_to_jsonable(value)
+    if isinstance(value, Substitution):
+        return substitution_to_jsonable(value)
+    if is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value

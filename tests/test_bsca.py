@@ -29,7 +29,7 @@ from taggedunify.terms import (
     is_pure,
     problem_vars,
 )
-from taggedunify.textfmt import parse_substitution, parse_term, render_term
+from taggedunify.textfmt import jsonable, parse_substitution, parse_term, render_term
 from taggedunify.unify import Substitution
 
 
@@ -260,7 +260,7 @@ class TestUnifyCombined:
         import json
 
         result = unify_combined(worked_example())
-        payload = json.dumps([t.to_jsonable() for t in result.traces[:3]])
+        payload = json.dumps([jsonable(t) for t in result.traces[:3]])
         assert "gamma51" in payload
 
     def test_returned_unifiers_do_not_leak_beta_constants(self):

@@ -1,5 +1,6 @@
 """Every golden example is exercised through the CLI, not only the library."""
 
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,13 @@ import pytest
 from taggedunify.cli import main
 
 WORKED_EXAMPLE = "penc([1, n_a], pk(B)) ~? penc([1, N_B], pk(a)) + [2, A] + [2, b]"
+
+# the --explain trace fields, as docs/format.md lists them
+TRACE_KEYS = {
+    "gamma0", "gamma1", "gamma2", "var_id_partition", "gamma3", "gamma41", "gamma42",
+    "var_split", "beta", "gamma51", "gamma52", "linear_order", "sigma1", "sigma2",
+    "combined",
+}
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -44,10 +52,10 @@ class TestUnify:
             capsys, "unify", "-e", WORKED_EXAMPLE, "--theory", "combined", "--explain"
         )
         assert code == 0
-        trace_lines = [l for l in out.splitlines() if l.startswith("{")]
+        trace_lines = [l for l in out.splitlines() if l.startswith('{"')]
         assert trace_lines
-        parsed = json.loads(trace_lines[-1])
-        assert set(parsed) >= {"gamma0", "gamma51", "gamma52", "beta", "var_split"}
+        for line in trace_lines:
+            assert set(json.loads(line)) == TRACE_KEYS
 
     def test_json_output_is_line_delimited(self, capsys):
         code, out, _ = run(
@@ -64,11 +72,6 @@ class TestUnify:
         assert code == 2
         assert "no unification entries" in err
         assert out == ""
-
-    def test_parse_error_exit_2(self, capsys):
-        code, _, err = run(capsys, "unify", "-e", "a ~? xor(b)")
-        assert code == 2
-        assert "error" in err
 
     def test_impure_std_input_exit_2(self, capsys):
         code, _, err = run(capsys, "unify", "-e", "X ~? xor(a, b) @std")
@@ -168,9 +171,12 @@ class TestDnut:
         payload = json.loads(out.strip())
         assert payload["satisfied"] is False
 
-    def test_parse_failure_exit_2(self, capsys):
-        code, _, _ = run(capsys, "dnut", "check", "-e", "xor(a")
-        assert code == 2
+    def test_tag_sibling_xors_with_nested_xors(self, capsys, monkeypatch):
+        src = "penc(xor(A, penc(xor(B, C), k)), xor(D, E))"
+        code, tagged, err = run(capsys, "dnut", "tag", "-e", src)
+        assert (code, err) == (0, "")
+        code, out, _ = run(capsys, "dnut", "check", stdin=tagged, monkeypatch=monkeypatch)
+        assert (code, out) == (0, "satisfied\n")
 
     def test_options_before_the_path(self, capsys):
         path = str(GOLDEN / "protocol_original.terms")
@@ -192,6 +198,27 @@ class TestDnut:
             code, out, _ = run(capsys, "dnut", "check", "-e", "\n".join(j["terms"]))
             assert code == 0
             assert "satisfied" in out
+
+
+class TestInputErrors:
+    """Every subcommand that reads input maps a missing file and a parse
+    error to exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("bad", ["missing-file", "parse-error"])
+    @pytest.mark.parametrize(
+        "command, text",
+        [(["unify"], "a ~? xor(b)"), (["dnut", "check"], "xor(a"),
+         (["dnut", "tag"], "xor(a"), (["parse"], "pk(")],
+        ids=["unify", "dnut-check", "dnut-tag", "parse"],
+    )
+    def test_exit_2(self, capsys, tmp_path, command, text, bad):
+        missing = str(tmp_path / "missing.problems")
+        source = [missing] if bad == "missing-file" else ["-e", text]
+        code, out, err = run(capsys, *command, *source)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestProveTheorem:
@@ -227,10 +254,6 @@ class TestParse:
         assert code == 0
         code2, out2, _ = run(capsys, "parse", stdin=out, monkeypatch=monkeypatch)
         assert out2 == out
-
-    def test_bad_input(self, capsys):
-        code, _, err = run(capsys, "parse", "-e", "pk(")
-        assert code == 2
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
@@ -295,3 +318,28 @@ class TestScripts:
         )
         assert done.returncode == 0, done.stderr
         assert check(done.stdout)
+
+
+class TestOutputPinned:
+    """The CLI's stdout and exit code on the golden files and a small
+    harness run, pinned by hash: a change to any JSON schema or rendering
+    shows here first."""
+
+    def test_golden_calls(self, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        monkeypatch.delenv("TAGGEDUNIFY_CAPS", raising=False)
+        problems = sorted(p.name for p in GOLDEN.glob("*.problems"))
+        term_sets = sorted(p.name for p in GOLDEN.glob("*.terms"))
+        calls = [["unify", name, *opt] for name in problems
+                 for opt in (["--format", "json"], ["--explain"])]
+        calls += [["dnut", "check", name, "--format", "json"] for name in term_sets]
+        calls += [["dnut", "tag", name, *opt] for name in term_sets
+                  for opt in ([], ["--format", "json"])]
+        calls.append(["prove-theorem", "--samples", "40", "--seed", "7", "--format", "json"])
+        records = []
+        for argv in calls:
+            code, out, _ = run(capsys, *argv)
+            records.append(f"$ {' '.join(argv)}\n{code}\n{out}")
+        assert len(records) == 11
+        digest = hashlib.sha256("".join(records).encode()).hexdigest()
+        assert digest == "0f415f06ac1d4a12724b1b692575c82bb7f0dbd7230f2c62cc15ed69ad86e805"

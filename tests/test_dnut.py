@@ -4,9 +4,10 @@ protocol table used as the worked tagging example."""
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from strategies import terms, xor_terms
 from taggedunify.dnut import dnut_check, dnut_tag, strip_tags, tags_bijection
 from taggedunify.oracle import GenConfig, gen_raw_protocol
-from taggedunify.terms import ZERO, Problem, Term, Xor, iter_subterms
+from taggedunify.terms import ZERO, Penc, Problem, Seq, Term, Xor, iter_subterms
 from taggedunify.textfmt import parse_term
 from taggedunify.unify import unify_free_xor
 
@@ -129,6 +130,14 @@ class TestTagTable:
         assert dnut_tag(msgs) == msgs
 
 
+# summands that hold an xor of their own, inside sibling xors
+_nesting_xor = st.lists(
+    st.one_of(terms(max_leaves=4), st.builds(Penc, xor_terms(), terms(max_leaves=3))),
+    min_size=2, max_size=3,
+).map(lambda xs: Xor(tuple(xs)))
+_sibling_xors = st.lists(_nesting_xor, min_size=2, max_size=3).map(lambda xs: Seq(tuple(xs)))
+
+
 class TestTagProperties:
     @given(st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
@@ -154,7 +163,24 @@ class TestTagProperties:
         assert render_term(nested[0]) == "xor([1.2.1, A], [1.2.2, N_B])"
 
     def test_pre_tagged_input_retries_with_shifted_roots(self):
-        # adversarial input that reuses the tags the scheme would assign
+        # input that reuses the tags the scheme assigns: every summand head
+        # is a fresh tag, so the existing ones never collide
         msgs = [t("xor([1.1, A], [1.2, B])"), t("xor([1.1, A], c)")]
         tagged = dnut_tag(msgs)
         assert dnut_check(tagged).satisfied
+
+    def test_sibling_xors_with_nested_xors(self):
+        # the hierarchical numbering gives the second sibling xor base 1.2,
+        # which the xor nested in the first xor's second summand also gets,
+        # so tagging retries with tree addresses
+        msg = t("penc(xor(A, penc(xor(B, C), k)), xor(D, E))")
+        (tagged,) = dnut_tag([msg])
+        assert dnut_check([tagged]).satisfied
+        assert strip_tags(tagged) == msg
+
+    @given(st.lists(st.one_of(_sibling_xors, terms()), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_tagging_sibling_xors_satisfies(self, protocol):
+        tagged = dnut_tag(protocol)
+        assert dnut_check(tagged).satisfied
+        assert [strip_tags(m) for m in tagged] == protocol
