@@ -80,12 +80,12 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def unify_acun(problems: Iterable[Problem]) -> list[Substitution]:
-    """Complete set of most general unifiers for a pure xor problem set.
+def unify_acun(problems: Iterable[Problem]) -> Substitution | None:
+    """Most general unifier of a pure xor problem set, or None.
 
-    Returns a one-element list (elementary xor unification with free
-    constants has a single parameterized mgu) or the empty list when the
-    GF(2) system is inconsistent.  Free dimensions of the solution space are
+    Elementary xor unification with free constants has a single
+    parameterized mgu; None means the GF(2) system is inconsistent, so
+    there is no unifier.  Free dimensions of the solution space are
     named by fresh ``_fN`` variables; variables whose occurrences cancel
     outright stay unbound, so ``unify_acun([Problem(t, t)])`` yields the
     empty substitution.
@@ -101,7 +101,7 @@ def unify_acun(problems: Iterable[Problem]) -> list[Substitution]:
             j = (vm & -vm).bit_length() - 1
             pivots[j] = (vm, am)
         elif am:
-            return []
+            return None
     # back-substitute to reduced form: pivot rows mention only free columns
     for j in sorted(pivots, reverse=True):
         vm, am = pivots[j]
@@ -123,4 +123,4 @@ def unify_acun(problems: Iterable[Problem]) -> list[Substitution]:
         bindings[system.variables[j]] = xor_of(sorted(parts, key=sort_key))
     for k in free_used:
         bindings[system.variables[k]] = param_term[k]
-    return [Substitution(bindings)]
+    return Substitution(bindings)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, count
-from typing import Iterable, Iterator, NamedTuple
+from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 from .acun import unify_acun
 from .terms import (
@@ -50,7 +50,6 @@ from .terms import (
     Var,
     Xor,
     acun_normal_form,
-    children,
     const_names_of,
     equal_mod,
     fresh_name,
@@ -58,7 +57,6 @@ from .terms import (
     is_pure,
     map_args,
     problem_vars,
-    rebuild,
     side_of,
     vars_of,
 )
@@ -134,21 +132,9 @@ def _fresh_const(var_name: str, taken: set[str]) -> str:
     return fresh_name(chain((base,), map(f"{base}{{}}".format, count(1))), taken)
 
 
-def _dedup(problems: Iterable[Problem]) -> list[Problem]:
-    seen: set[Problem] = set()
-    out = []
-    for p in problems:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
 def _purify_term(
     t: Term, taken: set[str], defs: list[Problem], cache: dict[Term, str]
 ) -> Term:
-    if is_atom(t):
-        return t
     own = side_of(t)
 
     def fix(c: Term) -> Term:
@@ -165,7 +151,7 @@ def _purify_term(
             defs.append(Problem(Var(cache[c]), pure))
         return Var(cache[c])
 
-    return rebuild(t, tuple(fix(c) for c in children(t)))
+    return map_args(fix, t)
 
 
 def purify_terms(problems: Iterable[Problem]) -> tuple[list[Problem], frozenset[str]]:
@@ -197,7 +183,7 @@ def purify_terms(problems: Iterable[Problem]) -> tuple[list[Problem], frozenset[
             )
         out.extend(defs)
         out.append(main)
-    return _dedup(out), frozenset(taken - before)
+    return list(dict.fromkeys(out)), frozenset(taken - before)
 
 
 def purify_problems(problems: Iterable[Problem]) -> list[Problem]:
@@ -217,7 +203,7 @@ def purify_problems(problems: Iterable[Problem]) -> list[Problem]:
             out.append(Problem(Var(v), p.rhs))
         else:
             out.append(p)
-    return _dedup(out)
+    return list(dict.fromkeys(out))
 
 
 def _std_definitions(problems: Iterable[Problem]) -> dict[str, list[Term]]:
@@ -231,22 +217,24 @@ def _std_definitions(problems: Iterable[Problem]) -> dict[str, list[Term]]:
 
 
 def variable_identifications(
-    problems: Iterable[Problem],
-    cfg: BscaConfig = BscaConfig(),
-    scope: Iterable[str] | None = None,
+    problems: Iterable[Problem], cfg: BscaConfig = BscaConfig()
 ) -> Iterator[tuple[tuple[tuple[str, ...], ...], list[Problem]]]:
     """Step 3: enumerate partitions of the variables; for each, yield the
     partition and the problem set with every variable replaced by its
     class representative (the lexicographically least name).
 
-    ``scope`` restricts which variables may share a block; the rest stay
-    singletons.  Raises :class:`ChoiceSpaceExceeded` when more variables
-    than ``cfg.max_partition_vars`` would need enumerating.
+    Without ``cfg.full_identification`` only variables of xor problems may
+    share a block; the rest stay singletons.  Raises
+    :class:`ChoiceSpaceExceeded` when more variables than
+    ``cfg.max_partition_vars`` would need enumerating.
     """
     probs = list(problems)
     all_vars = sorted(problem_vars(probs))
-    scope_set = set(all_vars) if scope is None else set(scope) & set(all_vars)
-    enum_vars = [v for v in all_vars if v in scope_set]
+    if cfg.full_identification:
+        scope = set(all_vars)
+    else:
+        scope = problem_vars(p for p in probs if isinstance(p.lhs, Xor) or isinstance(p.rhs, Xor))
+    enum_vars = [v for v in all_vars if v in scope]
     if len(enum_vars) > cfg.max_partition_vars:
         raise ChoiceSpaceExceeded(
             f"{len(enum_vars)} variables exceed the partition cap "
@@ -281,12 +269,12 @@ def variable_identifications(
         yield from assignments(i + 1, blocks)
         blocks.pop()
 
-    singles = [[v] for v in all_vars if v not in scope_set]
+    singles = [[v] for v in all_vars if v not in scope]
     for blocks in assignments(0, []):
         partition = tuple(sorted(tuple(sorted(b)) for b in blocks + singles))
         rep = {v: b[0] for b in partition for v in b}
         sub = Substitution({v: Var(r) for v, r in rep.items() if v != r})
-        gamma3 = _dedup(sub.apply_problem(p) for p in probs)
+        gamma3 = list(dict.fromkeys(map(sub.apply_problem, probs)))
         yield partition, gamma3
 
 
@@ -330,8 +318,8 @@ class _Roles(NamedTuple):
 
     vars41: frozenset[str]
     vars42: frozenset[str]
-    fixed1: frozenset[str]  # in V1 on every split
-    fixed2: frozenset[str]  # in V2 on every split
+    fixed1: AbstractSet[str]  # in V1 on every split
+    fixed2: AbstractSet[str]  # in V2 on every split
     choice: list[str]  # enumerated both ways, in sorted order
 
 
@@ -341,12 +329,7 @@ def _variable_roles(g41: list[Problem], g42: list[Problem], prune: bool) -> _Rol
     all_vars = sorted(vars41 | vars42)
     if not prune:
         return _Roles(vars41, vars42, frozenset(), frozenset(), all_vars)
-    forced1 = {
-        a.name
-        for p in g41
-        for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs))
-        if isinstance(a, Var) and not isinstance(b, Var)
-    }
+    forced1 = _std_definitions(g41).keys()  # g41 holds no xor term at the top
     fixed1 = (vars41 - vars42) | forced1
     fixed2 = vars42 - vars41 - forced1
     choice = [v for v in all_vars if v not in fixed1 and v not in fixed2]
@@ -388,10 +371,7 @@ def solve_systems(
         gamma51 = [sub1.apply_problem(p) for p in g41]
         gamma52 = [sub2.apply_problem(p) for p in g42]
         sigma1 = unify_std(gamma51)
-        sigma2 = None
-        if sigma1 is not None:
-            acun_result = unify_acun(gamma52)
-            sigma2 = acun_result[0] if acun_result else None
+        sigma2 = None if sigma1 is None else unify_acun(gamma52)
         yield SplitAttempt(tuple(v1), tuple(v2), beta, gamma51, gamma52, sigma1, sigma2)
 
 
@@ -404,7 +384,7 @@ def _some_split_may_unify(
     runs first: it is the cheaper solve and fails more often."""
     roles = _variable_roles(g41, g42, prune=True)
     ground = Substitution({v: spare[v] for v in roles.fixed1 & roles.vars42})
-    if not unify_acun([ground.apply_problem(p) for p in g42]):
+    if unify_acun([ground.apply_problem(p) for p in g42]) is None:
         return False
     return unify_std(g41) is not None
 
@@ -477,14 +457,6 @@ def _canonical_key(sigma: Substitution, orig_vars: Iterable[str]):
     return frozenset((v, rho.apply(t)) for v, t in sigma.bindings.items())
 
 
-def _xor_scope(problems: Iterable[Problem]) -> set[str]:
-    scope: set[str] = set()
-    for p in problems:
-        if isinstance(p.lhs, Xor) or isinstance(p.rhs, Xor):
-            scope |= vars_of(p.lhs) | vars_of(p.rhs)
-    return scope
-
-
 def unify_combined(
     problems: Iterable[Problem], cfg: BscaConfig = BscaConfig()
 ) -> CombinedResult:
@@ -511,9 +483,8 @@ def unify_combined(
     traces: list[BscaTrace] = []
     if cfg.prune:
         pure_std, pure_xor = split_problems(gamma2)
-        if unify_std(pure_std) is None or not unify_acun(pure_xor):
+        if unify_std(pure_std) is None or unify_acun(pure_xor) is None:
             return CombinedResult(unifiers, traces)
-    scope = None if cfg.full_identification else _xor_scope(gamma2)
 
     seen: set = set()
     branches = 0
@@ -525,7 +496,7 @@ def unify_combined(
         spare_taken |= const_names_of(p.lhs) | const_names_of(p.rhs)
     spare = {v: Const(_fresh_const(v, spare_taken)) for v in sorted(problem_vars(gamma2))}
 
-    for partition, gamma3 in variable_identifications(gamma2, cfg, scope):
+    for partition, gamma3 in variable_identifications(gamma2, cfg):
         rep = {v: b[0] for b in partition for v in b}
         g41, g42 = split_problems(gamma3)
         if cfg.prune and not _some_split_may_unify(g41, g42, spare):

@@ -23,7 +23,7 @@ from typing import Sequence
 from .acun import unify_acun
 from .bsca import BscaConfig, ChoiceSpaceExceeded, unify_combined
 from .dnut import dnut_check, dnut_tag
-from .oracle import _HARNESS_CAPS, GenConfig, run_harness
+from .oracle import HARNESS_CAPS, GenConfig, run_harness
 from .terms import Problem, Theory
 from .textfmt import (
     ParseError,
@@ -97,19 +97,14 @@ def cmd_unify(args: argparse.Namespace) -> int:
     pf = parse_problem_file(_read_input(args))
     problems, theory = _problems_and_theory(pf, args.theory)
     caps = caps_from_env()
-    traces = None
-    if theory is Theory.STD:
-        sigma = unify_std(problems)
-        unifiers = [sigma] if sigma is not None else []
-    elif theory is Theory.FREE_XOR:
-        sigma = unify_free_xor(problems)
-        unifiers = [sigma] if sigma is not None else []
-    elif theory is Theory.ACUN:
-        unifiers = unify_acun(problems)
-    else:
+    if theory is Theory.COMBINED:
+        # traces are kept only for --explain, so they are printed whenever kept
         result = unify_combined(problems, dataclasses.replace(caps, keep_traces=args.explain))
-        unifiers = result.unifiers
-        traces = result.traces
+        unifiers, traces = result.unifiers, result.traces
+    else:
+        solver = {Theory.STD: unify_std, Theory.FREE_XOR: unify_free_xor, Theory.ACUN: unify_acun}
+        sigma = solver[theory](problems)
+        unifiers, traces = ([] if sigma is None else [sigma]), []
 
     if args.format == "json":
         for sigma in unifiers:
@@ -120,9 +115,8 @@ def cmd_unify(args: argparse.Namespace) -> int:
                 print(render_substitution(sigma))
         else:
             print("not unifiable")
-    if args.explain and traces is not None:
-        for trace in traces:
-            print(json.dumps(jsonable(trace), sort_keys=True))
+    for trace in traces:
+        print(json.dumps(jsonable(trace), sort_keys=True))
     return EXIT_OK if unifiers else EXIT_NEGATIVE
 
 
@@ -156,7 +150,7 @@ def cmd_dnut(args: argparse.Namespace) -> int:
 
 def cmd_prove_theorem(args: argparse.Namespace) -> int:
     cfg = GenConfig(seed=args.seed, samples=args.samples, max_depth=args.depth)
-    caps = caps_from_env(_HARNESS_CAPS)
+    caps = caps_from_env(HARNESS_CAPS)
     population = {"with-sequences": "non-variables"}.get(args.population, args.population)
     report = run_harness(cfg, caps, population)
     if args.format == "json":

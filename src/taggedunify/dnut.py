@@ -58,17 +58,6 @@ def _std_unifiable(a: Term, b: Term) -> bool:
     return unify_free_xor([Problem(a, b)]) is not None
 
 
-def _xor_subterms(terms: Iterable[Term]) -> list[Xor]:
-    seen: set[Term] = set()
-    out: list[Xor] = []
-    for t in terms:
-        for u in iter_subterms(t):
-            if isinstance(u, Xor) and u not in seen:
-                seen.add(u)
-                out.append(u)
-    return out
-
-
 def dnut_check(terms: Iterable[Term]) -> DnutReport:
     """Exhaustively check the three conditions over a set of terms.
 
@@ -77,7 +66,7 @@ def dnut_check(terms: Iterable[Term]) -> DnutReport:
     subterms are treated as one term, never paired against themselves under
     condition 2.
     """
-    xors = _xor_subterms(terms)
+    xors = list(dict.fromkeys(u for t in terms for u in iter_subterms(t) if isinstance(u, Xor)))
     violations: list[DnutViolation] = []
     for x in xors:
         items = x.items

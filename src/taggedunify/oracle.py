@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, count, permutations, product
+from itertools import chain, combinations, count, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bsca import BscaConfig, ChoiceSpaceExceeded, unify_combined
@@ -267,53 +267,33 @@ def _clashes(p: Problem) -> bool:
 def _candidate_pool(problems: Sequence[Problem], theory: Theory) -> list[Term]:
     taken = set().union(*(const_names_of(s) for p in problems for s in (p.lhs, p.rhs)))
     spare = Const(fresh_name((f"u{n}" for n in count()), taken))
-    xorish = theory in (Theory.ACUN, Theory.COMBINED)
-    subs = subterms_of_set([s for p in problems for s in (p.lhs, p.rhs)])
+    sides = [s for p in problems for s in (p.lhs, p.rhs)]
+    subs = sorted(subterms_of_set(sides), key=sort_key)
 
     def ground(t: Term) -> Term:
         g = Substitution({v: spare for v in vars_of(t)}).apply(t)
-        return acun_normal_form(g) if xorish else g
+        return g if theory.syntactic else acun_normal_form(g)
 
-    base: list[Term] = []
-    seen: set[Term] = set()
-
-    def add(pool: list[Term], marker: set[Term], t: Term) -> None:
-        if t not in marker:
-            marker.add(t)
-            pool.append(t)
-
-    add(base, seen, spare)
-    add(base, seen, ZERO)
-    for s in sorted(subs, key=sort_key):
-        if not isinstance(s, Var):
-            add(base, seen, ground(s))
-    if not xorish:
-        return base
+    base = chain((spare, ZERO), (ground(s) for s in subs if not isinstance(s, Var)))
+    if theory.syntactic:
+        return list(dict.fromkeys(base))
     # xor values a variable can need are combinations of terms standing in
     # summand position somewhere; a cancellation chain across one problem
-    # touches at most (width - 1) + width summands
-    combo_base: list[Term] = []
-    combo_seen: set[Term] = set()
-    add(combo_base, combo_seen, spare)
-    for p in problems:
-        for side in (p.lhs, p.rhs):
-            for u in interm_occurrences(side):
-                add(combo_base, combo_seen, ground(u))
-    for s in sorted(subs, key=sort_key):
-        if isinstance(s, Xor):
-            for u in s.items:
-                add(combo_base, combo_seen, ground(u))
-    # a term standing opposite an xor across matching standard constructors
-    # enters the sum too: penc(X1, X2+a) ~? penc(c, b) needs X2 = a+b
-    for p in problems:
-        for u in _xor_facing(p.lhs, p.rhs):
-            add(combo_base, combo_seen, ground(u))
-    pool = list(base)
-    pool_seen = set(seen)
-    for size in range(2, 2 * MAX_XOR_WIDTH):
-        for combo in combinations(combo_base, size):
-            add(pool, pool_seen, acun_normal_form(xor_of(combo)))
-    return pool
+    # touches at most (width - 1) + width summands.  A term standing
+    # opposite an xor across matching standard constructors enters the sum
+    # too: penc(X1, X2+a) ~? penc(c, b) needs X2 = a+b
+    summands = chain(
+        (u for side in sides for u in interm_occurrences(side)),
+        (u for s in subs if isinstance(s, Xor) for u in s.items),
+        (u for p in problems for u in _xor_facing(p.lhs, p.rhs)),
+    )
+    combo_base = list(dict.fromkeys(chain((spare,), map(ground, summands))))
+    combos = (
+        acun_normal_form(xor_of(combo))
+        for size in range(2, 2 * MAX_XOR_WIDTH)
+        for combo in combinations(combo_base, size)
+    )
+    return list(dict.fromkeys(chain(base, combos)))
 
 
 def _components(problems: list[Problem]) -> list[tuple[list[str], list[Problem]]]:
@@ -344,12 +324,11 @@ def _has_witness(
             # as a set of values, stream the other side's values against it
             if len(rv) < len(lv):
                 lhs, rhs, lv, rv = rhs, lhs, rv, lv
-            syntactic = theory in (Theory.STD, Theory.FREE_XOR)
 
             def side_values(t: Term, vs: list[str]) -> Iterator[Term]:
                 for combo in product(pool, repeat=len(vs)):
                     u = Substitution(dict(zip(vs, combo))).apply(t)
-                    yield u if syntactic else acun_normal_form(u)
+                    yield u if theory.syntactic else acun_normal_form(u)
 
             small = set(side_values(lhs, lv))
             return any(u in small for u in side_values(rhs, rv))
@@ -435,7 +414,7 @@ def _free_unordered(work: list[tuple[Term, Term]], bindings: dict[str, Term]) ->
     return True
 
 
-_HARNESS_CAPS = BscaConfig(
+HARNESS_CAPS = BscaConfig(
     max_partition_vars=16,
     max_branches=20_000,
     full_identification=False,
@@ -444,7 +423,7 @@ _HARNESS_CAPS = BscaConfig(
 )
 
 
-def combined_unifiable(m: Term, t: Term, caps: BscaConfig = _HARNESS_CAPS) -> bool:
+def combined_unifiable(m: Term, t: Term, caps: BscaConfig = HARNESS_CAPS) -> bool:
     return bool(unify_combined([Problem(m, t)], caps).unifiers)
 
 
@@ -473,7 +452,7 @@ class TheoremReport:
     incomplete: list[PairReport]
 
 
-def check_theorem(terms: Iterable[Term], caps: BscaConfig = _HARNESS_CAPS) -> TheoremReport:
+def check_theorem(terms: Iterable[Term], caps: BscaConfig = HARNESS_CAPS) -> TheoremReport:
     """Check every pair of distinct non-variable terms in the set.
 
     A counterexample is a pair that unifies in the combined theory but not
@@ -584,7 +563,7 @@ class HarnessReport:
 
 
 def run_harness(
-    cfg: GenConfig, caps: BscaConfig = _HARNESS_CAPS, population: str = "both"
+    cfg: GenConfig, caps: BscaConfig = HARNESS_CAPS, population: str = "both"
 ) -> HarnessReport:
     """Generate ``cfg.samples`` tagged protocols and check them all.
 

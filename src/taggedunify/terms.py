@@ -182,6 +182,12 @@ class Theory(Enum):
             return (STD, XOR)
         return (XOR,)
 
+    @property
+    def syntactic(self) -> bool:
+        """Whether equality is syntactic: STD and FREE_XOR hold only
+        identity equations."""
+        return self in (Theory.STD, Theory.FREE_XOR)
+
 
 def side_of(t: Term) -> str | None:
     """Signature side of the head constructor: constants and tags belong to
@@ -330,12 +336,9 @@ def acun_normal_form(t: Term) -> Term:
 
 
 def equal_mod(t1: Term, t2: Term, th: Theory) -> bool:
-    """Equality modulo a theory.
-
-    STD and FREE_XOR hold only identity equations, so they compare
-    syntactically; ACUN and COMBINED compare xor normal forms.
-    """
-    if th in (Theory.STD, Theory.FREE_XOR):
+    """Equality modulo a theory: syntactic theories compare the terms,
+    ACUN and COMBINED their xor normal forms."""
+    if th.syntactic:
         return t1 == t2
     return acun_normal_form(t1) == acun_normal_form(t2)
 

@@ -92,9 +92,6 @@ class _Parser:
             shown = val if kind != "eof" else "end of input"
             raise ParseError(f"expected {value!r}, found {shown!r}", self.line, col)
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.peek()[2])
-
     def term(self) -> Term:
         parts = [self.primary()]
         while self.peek()[1] == "+":

@@ -1,6 +1,9 @@
 """The disjoint-theory combination pipeline, against the worked key-exchange
 example and against the ground oracle."""
 
+import dataclasses
+from itertools import combinations
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from taggedunify.bsca import (
     unify_combined,
     variable_identifications,
 )
-from taggedunify.oracle import GenConfig, gen_problem, ground_unifiable
+from taggedunify.oracle import GenConfig, gen_problem, gen_untagged_set, ground_unifiable
 from taggedunify.terms import (
     Const,
     Pk,
@@ -130,6 +133,33 @@ class TestVariableIdentifications:
         problems = [Problem(Var(f"V{i}"), Var(f"V{i+1}")) for i in range(10)]
         with pytest.raises(ChoiceSpaceExceeded):
             list(variable_identifications(problems, BscaConfig(max_partition_vars=9)))
+
+
+class TestRestrictedIdentification:
+    """``full_identification=False``, the mode the theorem harness runs in."""
+
+    PROBLEMS = [prob("X", "Y"), prob("Z", "xor(U, V)")]
+
+    def test_variables_outside_xor_problems_stay_singletons(self):
+        cfg = BscaConfig(full_identification=False, prune=False)
+        partitions = [part for part, _ in variable_identifications(self.PROBLEMS, cfg)]
+        assert len(partitions) == 5  # Bell(3) over U, V, Z
+        for part in partitions:
+            assert ("X",) in part and ("Y",) in part
+        full = variable_identifications(self.PROBLEMS, BscaConfig(prune=False))
+        assert any(("X", "Y") in part for part, _ in full)
+
+    def test_same_verdict_as_full_identification(self):
+        full = BscaConfig(first_only=True, keep_traces=False)
+        restricted = dataclasses.replace(full, full_identification=False)
+        cases = [gen_problem(GenConfig(seed=61), i) for i in range(200)]
+        for i in range(100):
+            terms = gen_untagged_set(GenConfig(seed=31), i)
+            cases += [[Problem(m, t)] for m, t in combinations(terms, 2)]
+        assert len(cases) == 408
+        for problems in cases:
+            verdict = bool(unify_combined(problems, full).unifiers)
+            assert bool(unify_combined(problems, restricted).unifiers) == verdict, problems
 
 
 def _gamma4_for(partition):
@@ -375,7 +405,7 @@ class TestConservativity:
 
         problems = [Problem(side(), side())]
         result = unify_combined(problems, BscaConfig(first_only=True, keep_traces=False))
-        assert bool(result.unifiers) == bool(unify_acun(problems))
+        assert bool(result.unifiers) == (unify_acun(problems) is not None)
 
 
 class TestOracleAgreement:

@@ -57,6 +57,18 @@ class TestUnify:
         for line in trace_lines:
             assert set(json.loads(line)) == TRACE_KEYS
 
+    def test_invented_variables_of_both_kinds(self, capsys):
+        # docs/format.md, "Substitutions": a purification variable (X) and an
+        # xor solution parameter (_f1) can both stay in a combined unifier
+        code, out, _ = run(capsys, "unify", "-e", "X1 ~? [c, xor(a, Y1)] @combined")
+        assert code == 0
+        assert out.splitlines() == [
+            "{ [c, a]/X1, 0/Y1 }",
+            "{ [c, 0]/X1, a/Y1 }",
+            "{ [c, X]/X1, xor(a, X)/Y1 }",
+            "{ [c, xor(a, _f1)]/X1, _f1/Y1 }",
+        ]
+
     def test_json_output_is_line_delimited(self, capsys):
         code, out, _ = run(
             capsys, "unify", "-e", "xor(X, a) ~? b @acun", "--format", "json"

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from strategies import terms, xor_terms
+from taggedunify import dnut
 from taggedunify.dnut import dnut_check, dnut_tag, strip_tags, tags_bijection
 from taggedunify.oracle import GenConfig, gen_raw_protocol
 from taggedunify.terms import ZERO, Penc, Problem, Seq, Term, Xor, iter_subterms
@@ -162,11 +163,13 @@ class TestTagProperties:
 
         assert render_term(nested[0]) == "xor([1.2.1, A], [1.2.2, N_B])"
 
-    def test_pre_tagged_input_retries_with_shifted_roots(self):
+    def test_pre_tagged_input_keeps_the_hierarchical_attempt(self):
         # input that reuses the tags the scheme assigns: every summand head
-        # is a fresh tag, so the existing ones never collide
+        # is a fresh tag, so the existing ones never collide and the first,
+        # hierarchical attempt is the result
         msgs = [t("xor([1.1, A], [1.2, B])"), t("xor([1.1, A], c)")]
         tagged = dnut_tag(msgs)
+        assert tagged == [dnut._tag_xor(m, (i,), dnut._hierarchical) for i, m in enumerate(msgs, 1)]
         assert dnut_check(tagged).satisfied
 
     def test_sibling_xors_with_nested_xors(self):

@@ -311,7 +311,7 @@ class TestCancellationPartnerProbe:
             return xor_of([rng.choice(pool) for _ in range(rng.randint(1, 4))])
 
         problems = [Problem(side(), side())]
-        if not unify_acun(problems):
+        if unify_acun(problems) is None:
             return
         m, t = problems[0].lhs, problems[0].rhs
         occurrences = [(0, u) for u in interm_occurrences(m)]

@@ -4,6 +4,7 @@ of them must fail here, not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -13,7 +14,8 @@ from taggedunify.bsca import unify_combined  # noqa: F401
 from taggedunify.oracle import ground_unifiable, run_harness  # noqa: F401
 from taggedunify.unify import unify_std  # noqa: F401
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+_BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+_PATH = _BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -38,3 +40,16 @@ def test_every_traced_name_exists_and_is_restored(capsys):
     assert tracer.stat("textfmt.parse").calls == 1
     for (module, attr, _), original in zip(table, originals):
         assert getattr(importlib.import_module(module), attr) is original
+
+
+def test_agreement_checks_match_the_recorded_fingerprints(monkeypatch):
+    # the benchmark's agreement workload calls the solvers and the oracle
+    # directly, so an API change that breaks it must fail here as well
+    monkeypatch.syspath_prepend(str(_BENCH))
+    import workloads
+
+    recorded = json.loads((_BENCH / "fingerprints.json").read_text())["agreement"]
+    agreement = workloads.Agreement(0)
+    assert len(agreement.ops) == 100
+    for op_id, problems in agreement.ops:
+        assert agreement._check(op_id, problems) == (recorded[op_id], None), op_id
