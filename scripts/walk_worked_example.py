@@ -13,7 +13,7 @@ from taggedunify.bsca import (
     variable_identifications,
 )
 from taggedunify.dnut import dnut_check, dnut_tag
-from taggedunify.terms import Problem
+from taggedunify.terms import Problem, problem_vars
 from taggedunify.textfmt import parse_term, render_substitution, render_term
 
 
@@ -32,7 +32,8 @@ def main() -> None:
     ]
     show("input", gamma0)
 
-    gamma1, introduced = purify_terms(gamma0)
+    gamma1 = purify_terms(gamma0)
+    introduced = problem_vars(gamma1) - problem_vars(gamma0)
     show("\nstep 1, purified terms (fresh: %s)" % ", ".join(sorted(introduced)), gamma1)
 
     print("\nstep 3, two variable identifications of interest:")

@@ -80,15 +80,16 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def unify_acun(problems: Iterable[Problem]) -> Substitution | None:
+def unify_acun(problems: Iterable[Problem], avoid: Iterable[str] = ()) -> Substitution | None:
     """Most general unifier of a pure xor problem set, or None.
 
     Elementary xor unification with free constants has a single
     parameterized mgu; None means the GF(2) system is inconsistent, so
     there is no unifier.  Free dimensions of the solution space are
-    named by fresh ``_fN`` variables; variables whose occurrences cancel
-    outright stay unbound, so ``unify_acun([Problem(t, t)])`` yields the
-    empty substitution.
+    named by fresh ``_fN`` variables, named away from the problems'
+    variables and ``avoid``; variables whose occurrences cancel outright
+    stay unbound, so ``unify_acun([Problem(t, t)])`` yields the empty
+    substitution.
     """
     system = build_gf2_system(problems)
     pivots: dict[int, tuple[int, int]] = {}
@@ -111,8 +112,7 @@ def unify_acun(problems: Iterable[Problem]) -> Substitution | None:
     free_used = sorted(
         {k for vm, _ in pivots.values() for k in _bits(vm)} - set(pivots)
     )
-    # run-scoped _fN names, renamed away from every input variable
-    taken = set(system.variables)
+    taken = {*system.variables, *avoid}
     names = (f"_f{n}" for n in count(1))
     param_term = {k: Var(fresh_name(names, taken)) for k in free_used}
     bindings: dict[str, Term] = {}

@@ -28,8 +28,9 @@ only branches that provably cannot succeed:
   constants), and a unifier of an instance composed with the instantiation
   unifies the original, so a part without a unifier fails every branch;
 * the per-partition precheck: for each identification, the xor part with
-  the variables every split keeps in V1 replaced by fresh constants, and
-  the standard part as it stands, are solved before any split is
+  each variable with a standard definition that occurs in an xor problem
+  replaced by a fresh constant (such a variable is in V1 on every split),
+  and the standard part as it stands, are solved before any split is
   enumerated.  Every split's grounded sets are instances of these, up to
   renaming the fresh constants, so a failure here fails every split.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, count
-from typing import AbstractSet, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .acun import unify_acun
 from .terms import (
@@ -75,20 +76,19 @@ class BscaConfig:
     identification step may enumerate partitions over; ``max_branches``
     bounds the total number of (partition, split) attempts.  Linear orders
     are not enumerated: each branch merges along one dependency order.
-    ``full_identification`` False restricts identification to variables
-    occurring in xor problems, which preserves unifiability (merging
-    variables never rescues the standard side and only xor-side merges
-    enable new cancellations) and is what the theorem harness runs with.
     ``prune`` switches on the pruning rules and prechecks of the module
     docstring; off, every partition and split is enumerated, which is the
     reference the pruned search is tested against.  ``first_only`` stops
-    at the first verified unifier, and ``keep_traces`` keeps one
+    at the first verified unifier; such a search also restricts
+    identification to variables occurring in xor problems, which preserves
+    unifiability (merging variables never rescues the standard side and
+    only xor-side merges enable new cancellations), while a search for all
+    unifiers identifies all variables.  ``keep_traces`` keeps one
     :class:`BscaTrace` per attempted branch in the result.
     """
 
     max_partition_vars: int = 9
     max_branches: int = 100_000
-    full_identification: bool = True
     prune: bool = True
     first_only: bool = False
     keep_traces: bool = True
@@ -154,7 +154,7 @@ def _purify_term(
     return map_args(fix, t)
 
 
-def purify_terms(problems: Iterable[Problem]) -> tuple[list[Problem], frozenset[str]]:
+def purify_terms(problems: Iterable[Problem]) -> list[Problem]:
     """Step 1: make every term pure by abstracting alien subterms into fresh
     variables with defining problems.  Repeated occurrences of one alien
     subterm share the abstraction variable.
@@ -162,12 +162,10 @@ def purify_terms(problems: Iterable[Problem]) -> tuple[list[Problem], frozenset[
     A problem whose two sides head into different theories is abstracted on
     the left as well (fresh ``W`` with ``W ~? lhs`` emitted first), so the
     output is already problem-pure for such inputs.  Fresh names avoid the
-    problems' variables.  Returns the purified problem list and the set of
-    introduced names.
+    problems' variables.
     """
     probs = list(problems)
     taken = set(problem_vars(probs))
-    before = set(taken)
     cache: dict[Term, str] = {}
     out: list[Problem] = []
     for p in probs:
@@ -183,7 +181,7 @@ def purify_terms(problems: Iterable[Problem]) -> tuple[list[Problem], frozenset[
             )
         out.extend(defs)
         out.append(main)
-    return list(dict.fromkeys(out)), frozenset(taken - before)
+    return list(dict.fromkeys(out))
 
 
 def purify_problems(problems: Iterable[Problem]) -> list[Problem]:
@@ -207,7 +205,11 @@ def purify_problems(problems: Iterable[Problem]) -> list[Problem]:
 
 
 def _std_definitions(problems: Iterable[Problem]) -> dict[str, list[Term]]:
-    """Non-variable standard-theory terms each variable is directly equated to."""
+    """Non-variable standard-theory terms each variable is directly equated to.
+
+    The unity element ``0`` is recorded too; the identification
+    compatibility test treats it as a constant, and a problem holding it
+    goes to the xor side, so it never reaches ``g41``."""
     defs: dict[str, list[Term]] = {}
     for p in problems:
         for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
@@ -223,17 +225,17 @@ def variable_identifications(
     partition and the problem set with every variable replaced by its
     class representative (the lexicographically least name).
 
-    Without ``cfg.full_identification`` only variables of xor problems may
-    share a block; the rest stay singletons.  Raises
+    Under ``cfg.first_only`` only variables of xor problems may share a
+    block; the rest stay singletons.  Raises
     :class:`ChoiceSpaceExceeded` when more variables than
     ``cfg.max_partition_vars`` would need enumerating.
     """
     probs = list(problems)
     all_vars = sorted(problem_vars(probs))
-    if cfg.full_identification:
-        scope = set(all_vars)
-    else:
+    if cfg.first_only:
         scope = problem_vars(p for p in probs if isinstance(p.lhs, Xor) or isinstance(p.rhs, Xor))
+    else:
+        scope = set(all_vars)
     enum_vars = [v for v in all_vars if v in scope]
     if len(enum_vars) > cfg.max_partition_vars:
         raise ChoiceSpaceExceeded(
@@ -313,45 +315,30 @@ class SplitAttempt:
     sigma2: Substitution | None
 
 
-class _Roles(NamedTuple):
-    """Variable roles of one identified problem set, split by theory."""
-
-    vars41: frozenset[str]
-    vars42: frozenset[str]
-    fixed1: AbstractSet[str]  # in V1 on every split
-    fixed2: AbstractSet[str]  # in V2 on every split
-    choice: list[str]  # enumerated both ways, in sorted order
-
-
-def _variable_roles(g41: list[Problem], g42: list[Problem], prune: bool) -> _Roles:
-    vars41 = problem_vars(g41)
-    vars42 = problem_vars(g42)
-    all_vars = sorted(vars41 | vars42)
-    if not prune:
-        return _Roles(vars41, vars42, frozenset(), frozenset(), all_vars)
-    forced1 = _std_definitions(g41).keys()  # g41 holds no xor term at the top
-    fixed1 = (vars41 - vars42) | forced1
-    fixed2 = vars42 - vars41 - forced1
-    choice = [v for v in all_vars if v not in fixed1 and v not in fixed2]
-    return _Roles(vars41, vars42, fixed1, fixed2, choice)
-
-
 def solve_systems(
     g41: Iterable[Problem],
     g42: Iterable[Problem],
     cfg: BscaConfig = BscaConfig(),
+    avoid: Iterable[str] = (),
 ) -> Iterator[SplitAttempt]:
     """Step 5: enumerate two-block splits {V1, V2} of the live variables.
 
     For each split, variables in V2 become fresh constants inside the
     standard problems and variables in V1 become fresh constants inside the
-    xor problems; the pure solvers then run on the grounded sets.  Yields
-    every attempted split, successful or not.
+    xor problems; the pure solvers then run on the grounded sets, the xor
+    solver naming its parameters away from ``avoid``.  Yields every
+    attempted split, successful or not.
     """
     g41 = list(g41)
     g42 = list(g42)
-    vars41, vars42, fixed1, fixed2, choice = _variable_roles(g41, g42, cfg.prune)
+    vars41 = problem_vars(g41)
+    vars42 = problem_vars(g42)
     all_vars = sorted(vars41 | vars42)
+    if cfg.prune:  # the role rules of the module docstring
+        fixed2 = vars42 - vars41
+        choice = sorted(vars41 & vars42 - _std_definitions(g41).keys())
+    else:
+        fixed2, choice = set(), all_vars
 
     taken_base: set[str] = set()
     for p in g41 + g42:
@@ -371,7 +358,7 @@ def solve_systems(
         gamma51 = [sub1.apply_problem(p) for p in g41]
         gamma52 = [sub2.apply_problem(p) for p in g42]
         sigma1 = unify_std(gamma51)
-        sigma2 = None if sigma1 is None else unify_acun(gamma52)
+        sigma2 = None if sigma1 is None else unify_acun(gamma52, avoid)
         yield SplitAttempt(tuple(v1), tuple(v2), beta, gamma51, gamma52, sigma1, sigma2)
 
 
@@ -382,8 +369,8 @@ def _some_split_may_unify(
     problem set can succeed (see the module docstring for the argument).
     ``spare`` gives every variable its own fresh constant.  The xor side
     runs first: it is the cheaper solve and fails more often."""
-    roles = _variable_roles(g41, g42, prune=True)
-    ground = Substitution({v: spare[v] for v in roles.fixed1 & roles.vars42})
+    forced1 = _std_definitions(g41).keys() & problem_vars(g42)
+    ground = Substitution({v: spare[v] for v in forced1})
     if unify_acun([ground.apply_problem(p) for p in g42]) is None:
         return False
     return unify_std(g41) is not None
@@ -433,13 +420,7 @@ def _finalize(
     out: dict[str, Term] = {}
     for v in orig_vars:
         r = rep.get(v, v)
-        if r != v:
-            t = combined.bindings.get(r, Var(r))
-        else:
-            t = combined.bindings.get(v)
-            if t is None:
-                continue
-        t = acun_normal_form(t)
+        t = acun_normal_form(combined.bindings.get(r, Var(r)))
         if t != Var(v):
             out[v] = t
     return Substitution(out)
@@ -470,7 +451,7 @@ def unify_combined(
     """
     probs = list(problems)
     orig_vars = sorted(problem_vars(probs))
-    gamma1, _ = purify_terms(probs)
+    gamma1 = purify_terms(probs)
     gamma2 = purify_problems(gamma1)
     for p in gamma2:  # purification postconditions, checked every run
         for side in (p.lhs, p.rhs):
@@ -501,7 +482,9 @@ def unify_combined(
         g41, g42 = split_problems(gamma3)
         if cfg.prune and not _some_split_may_unify(g41, g42, spare):
             continue
-        for attempt in solve_systems(g41, g42, cfg):
+        # the xor solver's parameters must not capture an input variable,
+        # which identification may have merged out of g41 and g42
+        for attempt in solve_systems(g41, g42, cfg, avoid=orig_vars):
             branches += 1
             if branches > cfg.max_branches:
                 raise ChoiceSpaceExceeded(

@@ -417,7 +417,6 @@ def _free_unordered(work: list[tuple[Term, Term]], bindings: dict[str, Term]) ->
 HARNESS_CAPS = BscaConfig(
     max_partition_vars=16,
     max_branches=20_000,
-    full_identification=False,
     first_only=True,
     keep_traces=False,
 )

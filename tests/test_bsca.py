@@ -1,7 +1,6 @@
 """The disjoint-theory combination pipeline, against the worked key-exchange
 example and against the ground oracle."""
 
-import dataclasses
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -50,7 +49,7 @@ SUCCEEDING_PARTITION = (("A",), ("B",), ("N_B",), ("W", "X"), ("Y", "Z"))
 
 class TestPurifyTerms:
     def test_worked_example_exact_output(self):
-        gamma1, introduced = purify_terms(worked_example())
+        gamma1 = purify_terms(worked_example())
         expected = [
             prob("W", "penc([1, n_a], pk(B))"),
             prob("X", "penc([1, N_B], pk(a))"),
@@ -59,16 +58,15 @@ class TestPurifyTerms:
             prob("W", "xor(X, Y, Z)"),
         ]
         assert gamma1 == expected
-        assert introduced == {"W", "X", "Y", "Z"}
+        assert problem_vars(gamma1) - problem_vars(worked_example()) == {"W", "X", "Y", "Z"}
 
     def test_already_pure_unchanged(self):
         g = [prob("a", "b")]
-        gamma1, introduced = purify_terms(g)
-        assert gamma1 == g and introduced == frozenset()
+        assert purify_terms(g) == g
 
     def test_one_alien_summand(self):
-        gamma1, introduced = purify_terms([prob("xor([1, a], X)", "X")])
-        (v,) = introduced
+        gamma1 = purify_terms([prob("xor([1, a], X)", "X")])
+        (v,) = problem_vars(gamma1) - {"X"}
         assert gamma1 == [
             Problem(Var(v), parse_term("[1, a]")),
             Problem(Xor((Var(v), Var("X"))), Var("X")),
@@ -79,7 +77,7 @@ class TestPurifyTerms:
             ground_unifiable(gamma1, Theory.COMBINED, cfg)
 
     def test_every_output_term_is_pure(self):
-        gamma1, _ = purify_terms(
+        gamma1 = purify_terms(
             [prob("penc(xor(a, [1, b]), k)", "senc(xor(X, penc(Y, xor(a, c))), k)")]
         )
         for p in gamma1:
@@ -89,7 +87,7 @@ class TestPurifyTerms:
 
 class TestPurifyProblems:
     def test_worked_example_skips(self):
-        gamma1, _ = purify_terms(worked_example())
+        gamma1 = purify_terms(worked_example())
         assert purify_problems(gamma1) == gamma1
 
     def test_cross_theory_split(self):
@@ -115,13 +113,13 @@ class TestVariableIdentifications:
         assert len(parts) == 5  # Bell(3)
 
     def test_exhibited_partition_enumerated(self):
-        gamma1, _ = purify_terms(worked_example())
+        gamma1 = purify_terms(worked_example())
         partitions = [p for p, _ in variable_identifications(gamma1)]
         assert EXHIBITED_PARTITION in partitions
         assert SUCCEEDING_PARTITION in partitions
 
     def test_representative_is_least_name(self):
-        gamma1, _ = purify_terms(worked_example())
+        gamma1 = purify_terms(worked_example())
         for partition, gamma3 in variable_identifications(gamma1):
             if partition == EXHIBITED_PARTITION:
                 assert prob("W", "xor(X, Y, Y)") in gamma3
@@ -136,12 +134,12 @@ class TestVariableIdentifications:
 
 
 class TestRestrictedIdentification:
-    """``full_identification=False``, the mode the theorem harness runs in."""
+    """A first-unifier search identifies only variables of xor problems."""
 
     PROBLEMS = [prob("X", "Y"), prob("Z", "xor(U, V)")]
 
     def test_variables_outside_xor_problems_stay_singletons(self):
-        cfg = BscaConfig(full_identification=False, prune=False)
+        cfg = BscaConfig(first_only=True, prune=False)
         partitions = [part for part, _ in variable_identifications(self.PROBLEMS, cfg)]
         assert len(partitions) == 5  # Bell(3) over U, V, Z
         for part in partitions:
@@ -150,8 +148,8 @@ class TestRestrictedIdentification:
         assert any(("X", "Y") in part for part, _ in full)
 
     def test_same_verdict_as_full_identification(self):
-        full = BscaConfig(first_only=True, keep_traces=False)
-        restricted = dataclasses.replace(full, full_identification=False)
+        first = BscaConfig(first_only=True, keep_traces=False)
+        full = BscaConfig(keep_traces=False)
         cases = [gen_problem(GenConfig(seed=61), i) for i in range(200)]
         for i in range(100):
             terms = gen_untagged_set(GenConfig(seed=31), i)
@@ -159,11 +157,11 @@ class TestRestrictedIdentification:
         assert len(cases) == 408
         for problems in cases:
             verdict = bool(unify_combined(problems, full).unifiers)
-            assert bool(unify_combined(problems, restricted).unifiers) == verdict, problems
+            assert bool(unify_combined(problems, first).unifiers) == verdict, problems
 
 
 def _gamma4_for(partition):
-    gamma1, _ = purify_terms(worked_example())
+    gamma1 = purify_terms(worked_example())
     for part, gamma3 in variable_identifications(gamma1):
         if part == partition:
             return split_problems(gamma3)
@@ -305,6 +303,17 @@ class TestUnifyCombined:
         with pytest.raises(ChoiceSpaceExceeded):
             unify_combined(problems)
 
+    def test_xor_parameters_avoid_every_input_variable(self):
+        # _f1 occurs only on the standard side, so it is absent from the
+        # grounded xor problems the parameters are first named against
+        problems = [prob("X1", "[_f1, xor(a, Y1)]")]
+        unifiers = unify_combined(problems).unifiers
+        assert len(unifiers) == 15
+        for sigma in unifiers:
+            assert sigma.is_idempotent(), render_term(sigma.bindings["X1"])
+            for p in problems:
+                assert equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), Theory.COMBINED)
+
     def test_first_only_stops_early(self):
         result = unify_combined(worked_example(), BscaConfig(first_only=True))
         assert len(result.unifiers) == 1
@@ -363,7 +372,7 @@ class TestPrechecks:
     def test_rejected_partitions_have_no_successful_split(self):
         tried = {tr.var_id_partition for tr in unify_combined(worked_example()).traces}
         assert EXHIBITED_PARTITION not in tried and SUCCEEDING_PARTITION in tried
-        gamma1, _ = purify_terms(worked_example())
+        gamma1 = purify_terms(worked_example())
         rejected = 0
         for partition, gamma3 in variable_identifications(gamma1):
             if partition in tried:

@@ -46,6 +46,9 @@ class TestUnify:
         code, out, _ = run(capsys, "unify", "-e", WORKED_EXAMPLE, "--theory", "combined")
         assert code == 0
         assert "{ b/A, a/B, n_a/N_B }" in out
+        # the representative of an identified pair stays unbound
+        code, out, _ = run(capsys, "unify", "-e", "[X, Y] ~? [Y, X] @combined")
+        assert (code, out) == (0, "{ X/Y }\n")
 
     def test_explain_dumps_trace_json(self, capsys):
         code, out, _ = run(
@@ -68,6 +71,32 @@ class TestUnify:
             "{ [c, X]/X1, xor(a, X)/Y1 }",
             "{ [c, xor(a, _f1)]/X1, _f1/Y1 }",
         ]
+
+    def test_xor_parameters_avoid_input_variables(self, capsys):
+        # an input variable named like a parameter (_f1) must not be
+        # captured: the output is the _p1 input's, renamed
+        code, out, _ = run(capsys, "unify", "-e", "X1 ~? [_p1, xor(a, Y1)] @combined")
+        assert code == 0
+        assert out.splitlines() == [
+            "{ [a, a]/X1, 0/Y1, a/_p1 }",
+            "{ [0, a]/X1, 0/Y1, 0/_p1 }",
+            "{ [_p1, a]/X1, 0/Y1 }",
+            "{ [a, 0]/X1, a/Y1, a/_p1 }",
+            "{ [0, 0]/X1, a/Y1, 0/_p1 }",
+            "{ [_p1, 0]/X1, a/Y1 }",
+            "{ [a, X]/X1, xor(a, X)/Y1, a/_p1 }",
+            "{ [a, xor(a, _f1)]/X1, _f1/Y1, a/_p1 }",
+            "{ [X, X]/X1, xor(a, X)/Y1, X/_p1 }",
+            "{ [xor(a, _f1), xor(a, _f1)]/X1, _f1/Y1, xor(a, _f1)/_p1 }",
+            "{ [Y1, xor(a, Y1)]/X1, Y1/_p1 }",
+            "{ [xor(a, X), X]/X1, xor(a, X)/Y1, xor(a, X)/_p1 }",
+            "{ [_f1, xor(a, _f1)]/X1, _f1/Y1, _f1/_p1 }",
+            "{ [_p1, X]/X1, xor(a, X)/Y1 }",
+            "{ [_p1, xor(a, _f1)]/X1, _f1/Y1 }",
+        ]
+        code, captured, _ = run(capsys, "unify", "-e", "X1 ~? [_f1, xor(a, Y1)] @combined")
+        assert code == 0
+        assert captured == out.replace("_f1", "_f2").replace("_p1", "_f1")
 
     def test_json_output_is_line_delimited(self, capsys):
         code, out, _ = run(

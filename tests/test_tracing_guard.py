@@ -42,14 +42,42 @@ def test_every_traced_name_exists_and_is_restored(capsys):
         assert getattr(importlib.import_module(module), attr) is original
 
 
-def test_agreement_checks_match_the_recorded_fingerprints(monkeypatch):
-    # the benchmark's agreement workload calls the solvers and the oracle
-    # directly, so an API change that breaks it must fail here as well
+def _workloads(monkeypatch, name):
+    """The benchmark's workloads module and the fingerprints it recorded
+    for the workload ``name``."""
     monkeypatch.syspath_prepend(str(_BENCH))
     import workloads
 
-    recorded = json.loads((_BENCH / "fingerprints.json").read_text())["agreement"]
+    return workloads, json.loads((_BENCH / "fingerprints.json").read_text())[name]
+
+
+def test_agreement_checks_match_the_recorded_fingerprints(monkeypatch):
+    # the benchmark's agreement workload calls the solvers and the oracle
+    # directly, so an API change that breaks it must fail here as well
+    workloads, recorded = _workloads(monkeypatch, "agreement")
     agreement = workloads.Agreement(0)
     assert len(agreement.ops) == 100
     for op_id, problems in agreement.ops:
         assert agreement._check(op_id, problems) == (recorded[op_id], None), op_id
+
+
+def test_harness_checks_match_the_recorded_fingerprints(monkeypatch):
+    workloads, recorded = _workloads(monkeypatch, "harness")
+    ops = workloads.Harness(0).run_pass().ops
+    assert len(ops) == len(recorded) == 300
+    for op in ops:
+        assert (op.fingerprint, op.failure) == (recorded[op.id], None), op.id
+
+
+def test_cli_checks_match_the_recorded_fingerprints(monkeypatch, capsys):
+    # the benchmark runs these calls in fresh processes; in process they
+    # must print the same
+    workloads, recorded = _workloads(monkeypatch, "cli")
+    monkeypatch.chdir(workloads.ROOT)
+    monkeypatch.delenv("TAGGEDUNIFY_CAPS", raising=False)
+    bench = workloads.Cli(0)
+    assert set(bench.CALLS) == set(recorded)
+    for call, argv in bench.CALLS.items():
+        code = cli.main(argv)
+        stdout = capsys.readouterr().out
+        assert bench.check_output(call, code, stdout) == (recorded[call], None), call
