@@ -11,6 +11,7 @@ from taggedunify.bsca import (
     split_problems,
     unify_combined,
     variable_identifications,
+    xor_precheck,
 )
 from taggedunify.dnut import dnut_check, dnut_tag
 from taggedunify.terms import Problem, problem_vars
@@ -39,11 +40,15 @@ def main() -> None:
     print("\nstep 3, two variable identifications of interest:")
     exhibited = (("A",), ("B",), ("N_B",), ("W",), ("X",), ("Y", "Z"))
     succeeding = (("A",), ("B",), ("N_B",), ("W", "X"), ("Y", "Z"))
+    # the xor half of the per-partition precheck, decided on one GF(2)
+    # system before a partition's problem set is built
+    keep = xor_precheck(gamma1)
     for target in (exhibited, succeeding):
         for partition, gamma3 in variable_identifications(gamma1):
             if partition != target:
                 continue
             print(f"\n  partition {partition}:")
+            print(f"  xor precheck: {'passes' if keep(partition) else 'fails'}")
             g41, g42 = split_problems(gamma3)
             show("  standard problems", g41)
             show("  xor problems", g42)

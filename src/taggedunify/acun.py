@@ -80,6 +80,27 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def forward_eliminate(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
+    """Gaussian forward elimination of ``(var_mask, atom_mask)`` rows.
+
+    Returns the pivot rows keyed by their pivot column (the lowest set bit
+    of the row's var mask), or None when some row reduces to no variables
+    but a nonzero atom mask: the system is then inconsistent.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for vm, am in rows:
+        for j, (pvm, pam) in pivots.items():
+            if vm >> j & 1:
+                vm ^= pvm
+                am ^= pam
+        if vm:
+            j = (vm & -vm).bit_length() - 1
+            pivots[j] = (vm, am)
+        elif am:
+            return None
+    return pivots
+
+
 def unify_acun(problems: Iterable[Problem], avoid: Iterable[str] = ()) -> Substitution | None:
     """Most general unifier of a pure xor problem set, or None.
 
@@ -92,17 +113,9 @@ def unify_acun(problems: Iterable[Problem], avoid: Iterable[str] = ()) -> Substi
     substitution.
     """
     system = build_gf2_system(problems)
-    pivots: dict[int, tuple[int, int]] = {}
-    for vm, am in system.rows:
-        for j, (pvm, pam) in pivots.items():
-            if vm >> j & 1:
-                vm ^= pvm
-                am ^= pam
-        if vm:
-            j = (vm & -vm).bit_length() - 1
-            pivots[j] = (vm, am)
-        elif am:
-            return None
+    pivots = forward_eliminate(system.rows)
+    if pivots is None:
+        return None
     # back-substitute to reduced form: pivot rows mention only free columns
     for j in sorted(pivots, reverse=True):
         vm, am = pivots[j]

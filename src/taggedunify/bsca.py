@@ -32,16 +32,26 @@ only branches that provably cannot succeed:
   replaced by a fresh constant (such a variable is in V1 on every split),
   and the standard part as it stands, are solved before any split is
   enumerated.  Every split's grounded sets are instances of these, up to
-  renaming the fresh constants, so a failure here fails every split.
+  renaming the fresh constants, so a failure here fails every split.  The
+  xor half is decided before the partition's problem set is built, on the
+  GF(2) system of the purified xor part, built once per call: identifying
+  a block adds its variables' columns into one, and grounding a block
+  moves that column to a fresh atom of its own.  This is the system of the
+  grounded xor part, because renaming variables into one another commutes
+  with the parity normal form, a fresh constant is an atom independent of
+  every other atom, and the duplicate problems identification leaves
+  behind repeat rows, which never change consistency.  Only partitions
+  that pass are built and split, and only they have their standard part
+  solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, count
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .acun import unify_acun
+from .acun import build_gf2_system, forward_eliminate, unify_acun
 from .terms import (
     XOR,
     Const,
@@ -218,17 +228,63 @@ def _std_definitions(problems: Iterable[Problem]) -> dict[str, list[Term]]:
     return defs
 
 
+Partition = tuple[tuple[str, ...], ...]
+
+
+def xor_precheck(problems: Iterable[Problem]) -> Callable[[Partition], bool] | None:
+    """The xor halves of the pure-part and per-partition prechecks, read
+    off one GF(2) system of the xor part of the purified set ``problems``.
+
+    None when that system is inconsistent as it stands (the pure-part
+    precheck).  Otherwise the per-partition test: a partition passes when
+    the system stays consistent after each block's columns are added into
+    one, and the column of each block holding a variable with a standard
+    definition is moved to a fresh atom of its own.
+    """
+    std, xor = split_problems(problems)
+    system = build_gf2_system(xor)
+    if forward_eliminate(system.rows) is None:
+        return None
+    defined = _std_definitions(std).keys()
+    column = {v: 1 << i for i, v in enumerate(system.variables)}
+    fresh_atom = 1 << len(system.atoms)
+
+    def may_unify(partition: Partition) -> bool:
+        moves = []  # (the block's columns, its new var bit, its new atom bit)
+        for j, block in enumerate(partition):
+            cols = sum(column.get(v, 0) for v in block)  # distinct bits: their union
+            if cols and defined.isdisjoint(block):
+                moves.append((cols, 1 << j, 0))
+            elif cols:
+                moves.append((cols, 0, fresh_atom << j))
+        rows = []
+        for vm, am in system.rows:
+            new_vm = 0
+            for cols, var_bit, atom_bit in moves:
+                if (vm & cols).bit_count() & 1:
+                    new_vm ^= var_bit
+                    am ^= atom_bit
+            rows.append((new_vm, am))
+        return forward_eliminate(rows) is not None
+
+    return may_unify
+
+
 def variable_identifications(
-    problems: Iterable[Problem], cfg: BscaConfig = BscaConfig()
-) -> Iterator[tuple[tuple[tuple[str, ...], ...], list[Problem]]]:
+    problems: Iterable[Problem],
+    cfg: BscaConfig = BscaConfig(),
+    keep: Callable[[Partition], bool] | None = None,
+) -> Iterator[tuple[Partition, list[Problem]]]:
     """Step 3: enumerate partitions of the variables; for each, yield the
     partition and the problem set with every variable replaced by its
     class representative (the lexicographically least name).
 
     Under ``cfg.first_only`` only variables of xor problems may share a
-    block; the rest stay singletons.  Raises
-    :class:`ChoiceSpaceExceeded` when more variables than
-    ``cfg.max_partition_vars`` would need enumerating.
+    block; the rest stay singletons.  ``keep``, when given, sees each
+    compatible partition (sorted blocks of sorted names, singletons
+    included) before its problem set is built; a partition it rejects is
+    skipped without one.  Raises :class:`ChoiceSpaceExceeded` when more
+    variables than ``cfg.max_partition_vars`` would need enumerating.
     """
     probs = list(problems)
     all_vars = sorted(problem_vars(probs))
@@ -274,6 +330,8 @@ def variable_identifications(
     singles = [[v] for v in all_vars if v not in scope]
     for blocks in assignments(0, []):
         partition = tuple(sorted(tuple(sorted(b)) for b in blocks + singles))
+        if keep is not None and not keep(partition):
+            continue
         rep = {v: b[0] for b in partition for v in b}
         sub = Substitution({v: Var(r) for v, r in rep.items() if v != r})
         gamma3 = list(dict.fromkeys(map(sub.apply_problem, probs)))
@@ -362,20 +420,6 @@ def solve_systems(
         yield SplitAttempt(tuple(v1), tuple(v2), beta, gamma51, gamma52, sigma1, sigma2)
 
 
-def _some_split_may_unify(
-    g41: list[Problem], g42: list[Problem], spare: dict[str, Const]
-) -> bool:
-    """Per-partition precheck: False when no pruned split of this split
-    problem set can succeed (see the module docstring for the argument).
-    ``spare`` gives every variable its own fresh constant.  The xor side
-    runs first: it is the cheaper solve and fails more often."""
-    forced1 = _std_definitions(g41).keys() & problem_vars(g42)
-    ground = Substitution({v: spare[v] for v in forced1})
-    if unify_acun([ground.apply_problem(p) for p in g42]) is None:
-        return False
-    return unify_std(g41) is not None
-
-
 def _unbeta(t: Term, inverse: dict[str, str]) -> Term:
     if isinstance(t, Const) and t.name in inverse:
         return Var(inverse[t.name])
@@ -462,25 +506,18 @@ def unify_combined(
             raise AssertionError(f"cross-theory problem after purification: {p!r}")
     unifiers: list[Substitution] = []
     traces: list[BscaTrace] = []
+    keep = None
     if cfg.prune:
-        pure_std, pure_xor = split_problems(gamma2)
-        if unify_std(pure_std) is None or unify_acun(pure_xor) is None:
+        keep = xor_precheck(gamma2)
+        if keep is None or unify_std(split_problems(gamma2)[0]) is None:
             return CombinedResult(unifiers, traces)
 
     seen: set = set()
     branches = 0
-    # the precheck's grounded sets never reach a trace, so its constants are
-    # named once per call rather than per partition; purification adds no
-    # constants, so the input's hold for every partition
-    spare_taken: set[str] = set()
-    for p in probs:
-        spare_taken |= const_names_of(p.lhs) | const_names_of(p.rhs)
-    spare = {v: Const(_fresh_const(v, spare_taken)) for v in sorted(problem_vars(gamma2))}
-
-    for partition, gamma3 in variable_identifications(gamma2, cfg):
+    for partition, gamma3 in variable_identifications(gamma2, cfg, keep):
         rep = {v: b[0] for b in partition for v in b}
         g41, g42 = split_problems(gamma3)
-        if cfg.prune and not _some_split_may_unify(g41, g42, spare):
+        if cfg.prune and unify_std(g41) is None:
             continue
         # the xor solver's parameters must not capture an input variable,
         # which identification may have merged out of g41 and g42

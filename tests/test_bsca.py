@@ -7,9 +7,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from taggedunify.acun import unify_acun
 from taggedunify.bsca import (
     BscaConfig,
     ChoiceSpaceExceeded,
+    _fresh_const,
+    _std_definitions,
     combine_unifiers,
     purify_problems,
     purify_terms,
@@ -17,6 +20,7 @@ from taggedunify.bsca import (
     split_problems,
     unify_combined,
     variable_identifications,
+    xor_precheck,
 )
 from taggedunify.oracle import GenConfig, gen_problem, gen_untagged_set, ground_unifiable
 from taggedunify.terms import (
@@ -27,6 +31,7 @@ from taggedunify.terms import (
     Theory,
     Var,
     Xor,
+    const_names_of,
     equal_mod,
     is_pure,
     problem_vars,
@@ -320,15 +325,24 @@ class TestUnifyCombined:
 
     def test_pruning_changes_no_outcomes(self, monkeypatch):
         # counts how often each precheck fires, so the agreement below is
-        # known to cover both of them
+        # known to cover the pure-part precheck and both halves of the
+        # per-partition one: the xor half rejects a partition before it is
+        # yielded, the standard half a yielded partition before its splits
         import taggedunify.bsca as bsca
 
         counts = {}
         real_identifications, real_solve = bsca.variable_identifications, bsca.solve_systems
 
-        def identifications(*args, **kwargs):
+        def identifications(problems, cfg, keep):
             counts["identified"] = True
-            for item in real_identifications(*args, **kwargs):
+
+            def counted_keep(partition):
+                passed = keep(partition)
+                counts["xor_rejected"] += not passed
+                return passed
+
+            counted = None if keep is None else counted_keep
+            for item in real_identifications(problems, cfg, counted):
                 counts["partitions"] += 1
                 yield item
 
@@ -338,18 +352,19 @@ class TestUnifyCombined:
 
         monkeypatch.setattr(bsca, "variable_identifications", identifications)
         monkeypatch.setattr(bsca, "solve_systems", solve)
-        pure_fired = partition_fired = 0
+        pure_fired = xor_rejected = std_rejected = 0
         for i in range(40):
             problems = gen_problem(GenConfig(seed=13), i)
             if len(problem_vars(problems)) > 6:
                 continue
-            counts.update(identified=False, partitions=0, solved=0)
+            counts.update(identified=False, xor_rejected=0, partitions=0, solved=0)
             fast = unify_combined(problems, BscaConfig(keep_traces=False))
             pure_fired += not counts["identified"]
-            partition_fired += counts["partitions"] > counts["solved"]
+            xor_rejected += counts["xor_rejected"]
+            std_rejected += counts["partitions"] - counts["solved"]
             slow = unify_combined(problems, BscaConfig(prune=False, keep_traces=False))
             assert bool(fast.unifiers) == bool(slow.unifiers)
-        assert pure_fired and partition_fired
+        assert pure_fired >= 1 and xor_rejected >= 1 and std_rejected >= 1
 
 
 class TestPrechecks:
@@ -369,6 +384,36 @@ class TestPrechecks:
         with pytest.raises(ChoiceSpaceExceeded):
             unify_combined(problems, BscaConfig(prune=False))
 
+    def test_worked_example_work_counts(self, monkeypatch):
+        # the xor half of the per-partition precheck runs on one GF(2)
+        # system per call, so the xor solver runs only for splits and only
+        # partitions that pass it are split
+        import taggedunify.bsca as bsca
+
+        counts = {"unify_acun": 0, "split_problems": 0, "passed": 0}
+        real_acun, real_split = bsca.unify_acun, bsca.split_problems
+        real_identifications = bsca.variable_identifications
+
+        def acun(*args, **kwargs):
+            counts["unify_acun"] += 1
+            return real_acun(*args, **kwargs)
+
+        def split(*args, **kwargs):
+            counts["split_problems"] += 1
+            return real_split(*args, **kwargs)
+
+        def identifications(*args, **kwargs):
+            for item in real_identifications(*args, **kwargs):
+                counts["passed"] += 1
+                yield item
+
+        monkeypatch.setattr(bsca, "unify_acun", acun)
+        monkeypatch.setattr(bsca, "split_problems", split)
+        monkeypatch.setattr(bsca, "variable_identifications", identifications)
+        assert unify_combined(worked_example()).unifiers
+        assert counts["unify_acun"] <= 3
+        assert counts["split_problems"] <= counts["passed"] + 2
+
     def test_rejected_partitions_have_no_successful_split(self):
         tried = {tr.var_id_partition for tr in unify_combined(worked_example()).traces}
         assert EXHIBITED_PARTITION not in tried and SUCCEEDING_PARTITION in tried
@@ -382,6 +427,53 @@ class TestPrechecks:
             for att in solve_systems(g41, g42, BscaConfig(prune=False)):
                 assert att.sigma1 is None or att.sigma2 is None
         assert rejected
+
+
+def _grounded_xor_verdict(gamma3, spare):
+    """The per-partition xor precheck on terms: the partition's xor part with
+    every standard-defined variable grounded to its spare constant, solved."""
+    g41, g42 = split_problems(gamma3)
+    forced1 = _std_definitions(g41).keys() & problem_vars(g42)
+    ground = Substitution({v: spare[v] for v in forced1})
+    return unify_acun([ground.apply_problem(p) for p in g42]) is not None
+
+
+class TestXorPrecheck:
+    """The bitmask precheck decides each partition as the grounded-term
+    precheck does, which it replaces; prune-on/off agreement is tested in
+    TestUnifyCombined."""
+
+    @staticmethod
+    def inputs():
+        yield worked_example()
+        for seed in (1, 13, 61):
+            for i in range(40):
+                yield gen_problem(GenConfig(seed=seed), i)
+
+    def test_bitmask_verdict_matches_grounded_reference(self):
+        verdicts = {True: 0, False: 0}
+        for problems in self.inputs():
+            gamma2 = purify_problems(purify_terms(problems))
+            if len(problem_vars(gamma2)) > 7:
+                continue
+            keep = xor_precheck(gamma2)
+            if keep is None:
+                assert unify_acun(split_problems(gamma2)[1]) is None
+                continue
+            taken = set().union(*(const_names_of(p.lhs) | const_names_of(p.rhs) for p in gamma2))
+            spare = {v: Const(_fresh_const(v, taken)) for v in sorted(problem_vars(gamma2))}
+            for cfg in (BscaConfig(), BscaConfig(first_only=True)):
+                for partition, gamma3 in variable_identifications(gamma2, cfg):
+                    verdict = keep(partition)
+                    assert verdict == _grounded_xor_verdict(gamma3, spare), (problems, partition)
+                    verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_worked_example_partitions_of_interest(self):
+        keep = xor_precheck(purify_terms(worked_example()))
+        # the exhibited partition leaves w = x, two distinct constants
+        assert not keep(EXHIBITED_PARTITION)
+        assert keep(SUCCEEDING_PARTITION)
 
 
 class TestConservativity:
