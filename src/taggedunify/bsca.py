@@ -90,10 +90,14 @@ class BscaConfig:
     docstring; off, every partition and split is enumerated, which is the
     reference the pruned search is tested against.  ``first_only`` stops
     at the first verified unifier; such a search also restricts
-    identification to variables occurring in xor problems, which preserves
-    unifiability (merging variables never rescues the standard side and
-    only xor-side merges enable new cancellations), while a search for all
-    unifiers identifies all variables.  ``keep_traces`` keeps one
+    identification to the variables of :func:`split_problems`' xor side,
+    which holds every problem with an xor or the unity element ``0`` (also
+    ``W ~? 0``, which purification makes of a ``0`` under a standard
+    constructor).  This preserves unifiability: a variable outside that side
+    occurs only in standard problems, whose syntactic solver finds a most
+    general unifier without help, and only merges among the xor side's
+    variables enable new cancellations.  A search for all unifiers
+    identifies all variables.  ``keep_traces`` keeps one
     :class:`BscaTrace` per attempted branch in the result.
     """
 
@@ -279,17 +283,17 @@ def variable_identifications(
     partition and the problem set with every variable replaced by its
     class representative (the lexicographically least name).
 
-    Under ``cfg.first_only`` only variables of xor problems may share a
-    block; the rest stay singletons.  ``keep``, when given, sees each
-    compatible partition (sorted blocks of sorted names, singletons
-    included) before its problem set is built; a partition it rejects is
-    skipped without one.  Raises :class:`ChoiceSpaceExceeded` when more
-    variables than ``cfg.max_partition_vars`` would need enumerating.
+    Under ``cfg.first_only`` only variables of :func:`split_problems`' xor
+    side may share a block, the rest staying singletons.  ``keep``, when
+    given, sees each compatible partition (sorted blocks of sorted names,
+    singletons included) before its problem set is built; a partition it
+    rejects is skipped without one.  Raises :class:`ChoiceSpaceExceeded` when
+    more variables than ``cfg.max_partition_vars`` would need enumerating.
     """
     probs = list(problems)
     all_vars = sorted(problem_vars(probs))
     if cfg.first_only:
-        scope = problem_vars(p for p in probs if isinstance(p.lhs, Xor) or isinstance(p.rhs, Xor))
+        scope = problem_vars(split_problems(probs)[1])
     else:
         scope = set(all_vars)
     enum_vars = [v for v in all_vars if v in scope]

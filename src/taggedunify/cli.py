@@ -9,21 +9,24 @@ to exit codes.
 
 The environment variable ``TAGGEDUNIFY_CAPS`` overrides enumeration caps,
 e.g. ``TAGGEDUNIFY_CAPS="partition-vars=12,branches=50000"``.
+
+A process loads only the layers its subcommand runs: ``terms``, ``textfmt``
+and ``unify`` load with this module, each name of ``_LAZY`` from its module
+on first access (``dnut`` adds ``dnut``, ``unify`` ``acun`` and ``bsca``,
+``prove-theorem`` all).  Commands read lazy names off the module object,
+so a wrapper set on this module (a tracer's, say) is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import sys
 from typing import Sequence
 
-from .acun import unify_acun
-from .bsca import BscaConfig, ChoiceSpaceExceeded, unify_combined
-from .dnut import dnut_check, dnut_tag
-from .oracle import HARNESS_CAPS, GenConfig, run_harness
 from .terms import Problem, Theory
 from .textfmt import (
     ParseError,
@@ -37,6 +40,23 @@ from .textfmt import (
 )
 from .unify import ImpureTermError, unify_free_xor, unify_std
 
+_LAZY = {
+    "unify_acun": "acun", "BscaConfig": "bsca", "unify_combined": "bsca",
+    "dnut_check": "dnut", "dnut_tag": "dnut",
+    "HARNESS_CAPS": "oracle", "GenConfig": "oracle", "run_harness": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]  # this module, also when run as __main__
+
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
@@ -49,7 +69,7 @@ _CAP_KEYS = {
 
 
 def caps_from_env(base: BscaConfig | None = None) -> BscaConfig:
-    base = base or BscaConfig()
+    base = base or _cli.BscaConfig()
     raw = os.environ.get("TAGGEDUNIFY_CAPS", "").strip()
     if not raw:
         return base
@@ -99,10 +119,11 @@ def cmd_unify(args: argparse.Namespace) -> int:
     caps = caps_from_env()
     if theory is Theory.COMBINED:
         # traces are kept only for --explain, so they are printed whenever kept
-        result = unify_combined(problems, dataclasses.replace(caps, keep_traces=args.explain))
+        result = _cli.unify_combined(problems, dataclasses.replace(caps, keep_traces=args.explain))
         unifiers, traces = result.unifiers, result.traces
     else:
-        solver = {Theory.STD: unify_std, Theory.FREE_XOR: unify_free_xor, Theory.ACUN: unify_acun}
+        solver = {Theory.STD: unify_std, Theory.FREE_XOR: unify_free_xor,
+                  Theory.ACUN: _cli.unify_acun}
         sigma = solver[theory](problems)
         unifiers, traces = ([] if sigma is None else [sigma]), []
 
@@ -128,7 +149,7 @@ def cmd_dnut(args: argparse.Namespace) -> int:
     if args.action == "check":
         all_ok = True
         for name, terms in sets.items():
-            report = dnut_check(terms)
+            report = _cli.dnut_check(terms)
             all_ok &= report.satisfied
             if args.format == "json":
                 print(json.dumps({"set": name, **jsonable(report)}, sort_keys=True))
@@ -137,7 +158,7 @@ def cmd_dnut(args: argparse.Namespace) -> int:
         return EXIT_OK if all_ok else EXIT_NEGATIVE
 
     # tag: retag every set's messages in order, preserving the input shape
-    tagged = {name: dnut_tag(terms) for name, terms in sets.items()}
+    tagged = {name: _cli.dnut_tag(terms) for name, terms in sets.items()}
     if args.format == "json":
         for name, terms in tagged.items():
             rendered = [render_term(t) for t in terms]
@@ -149,10 +170,10 @@ def cmd_dnut(args: argparse.Namespace) -> int:
 
 
 def cmd_prove_theorem(args: argparse.Namespace) -> int:
-    cfg = GenConfig(seed=args.seed, samples=args.samples, max_depth=args.depth)
-    caps = caps_from_env(HARNESS_CAPS)
+    cfg = _cli.GenConfig(seed=args.seed, samples=args.samples, max_depth=args.depth)
+    caps = caps_from_env(_cli.HARNESS_CAPS)
     population = {"with-sequences": "non-variables"}.get(args.population, args.population)
-    report = run_harness(cfg, caps, population)
+    report = _cli.run_harness(cfg, caps, population)
     if args.format == "json":
         print(json.dumps(report.to_jsonable(), sort_keys=True))
     else:
@@ -236,6 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _caps_exceeded() -> type[Exception] | tuple[()]:
+    """The cap error once ``bsca``, which raises it, is loaded; else nothing."""
+    bsca = sys.modules.get(f"{__package__}.bsca")
+    return () if bsca is None else bsca.ChoiceSpaceExceeded
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -244,7 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ImpureTermError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ChoiceSpaceExceeded as exc:
+    except _caps_exceeded() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS
     except RecursionError:

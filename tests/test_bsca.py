@@ -5,7 +5,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 
 from taggedunify.acun import unify_acun
 from taggedunify.bsca import (
@@ -24,7 +24,9 @@ from taggedunify.bsca import (
 )
 from taggedunify.oracle import GenConfig, gen_problem, gen_untagged_set, ground_unifiable
 from taggedunify.terms import (
+    ZERO,
     Const,
+    Penc,
     Pk,
     Problem,
     Seq,
@@ -139,7 +141,7 @@ class TestVariableIdentifications:
 
 
 class TestRestrictedIdentification:
-    """A first-unifier search identifies only variables of xor problems."""
+    """A first-unifier search identifies only variables of the split's xor side."""
 
     PROBLEMS = [prob("X", "Y"), prob("Z", "xor(U, V)")]
 
@@ -163,6 +165,55 @@ class TestRestrictedIdentification:
         for problems in cases:
             verdict = bool(unify_combined(problems, full).unifiers)
             assert bool(unify_combined(problems, first).unifiers) == verdict, problems
+
+    @pytest.mark.parametrize(
+        "problems",
+        [
+            [prob("[c, X]", "[c, 0]"), prob("xor(a, X)", "a")],
+            [prob("[0, a]", "[xor(0, 0), xor(X, Y)]")],
+        ],
+    )
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_unity_under_a_standard_constructor(self, problems, prune):
+        # purification turns such a 0 into W ~? 0, a problem without an Xor
+        # node that the split routes to the xor side, so W must be in scope
+        gamma2 = purify_problems(purify_terms(problems))
+        (w,) = {p.lhs.name for p in gamma2 if p.rhs == parse_term("0")}
+        first = BscaConfig(first_only=True, prune=prune)
+        assert any(
+            w in block and len(block) > 1
+            for part, _ in variable_identifications(gamma2, first)
+            for block in part
+        )
+        (sigma,) = unify_combined(problems, first).unifiers
+        assert sigma in unify_combined(problems, BscaConfig(prune=prune)).unifiers
+
+
+# xors and the unity element under standard constructors, on both sides of
+# a problem: the shape gen_problem and the protocol generators never produce
+_leaves = st.sampled_from([Var("X"), Var("Y"), Const("a"), Const("c"), ZERO])
+_args = st.one_of(_leaves, st.tuples(_leaves, _leaves).map(Xor))
+_four_args = st.tuples(_args, _args, _args, _args)
+_std_pairs = st.one_of(
+    _four_args.map(lambda a: (Seq(a[:2]), Seq(a[2:]))),
+    _four_args.map(lambda a: (Penc(*a[:2]), Penc(*a[2:]))),
+)
+_sides = st.one_of(_args, _std_pairs.map(lambda pair: pair[0]))
+_unity_problem_sets = st.tuples(
+    _std_pairs.map(lambda pair: Problem(*pair)),
+    st.lists(st.builds(Problem, _sides, _sides), max_size=1),
+).map(lambda sets: [sets[0], *sets[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unity_problem_sets)
+def test_first_unifier_verdict_equals_all_unifier_verdict(problems):
+    try:
+        verdict = bool(unify_combined(problems, BscaConfig(keep_traces=False)).unifiers)
+    except ChoiceSpaceExceeded:
+        reject()  # past the default partition cap of the all-unifier search
+    first = unify_combined(problems, BscaConfig(first_only=True, keep_traces=False))
+    assert bool(first.unifiers) == verdict
 
 
 def _gamma4_for(partition):
