@@ -11,12 +11,12 @@ when the system is consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable
 
 from .terms import (
     ZERO,
+    Frozen,
     Problem,
     Term,
     Theory,
@@ -32,8 +32,7 @@ from .terms import (
 from .unify import ImpureTermError, Substitution
 
 
-@dataclass(frozen=True)
-class Gf2System:
+class Gf2System(Frozen):
     """The GF(2) encoding of a pure xor problem set.
 
     ``rows[k]`` is ``(var_mask, atom_mask)``: bit ``i`` of ``var_mask`` set

@@ -47,7 +47,6 @@ only branches that provably cannot succeed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Callable, Iterable, Iterator
 
@@ -55,7 +54,9 @@ from .acun import build_gf2_system, forward_eliminate, unify_acun
 from .terms import (
     XOR,
     Const,
+    Frozen,
     Problem,
+    Record,
     Term,
     Theory,
     Var,
@@ -78,8 +79,7 @@ class ChoiceSpaceExceeded(Exception):
     """An enumeration cap was hit before the choice space was exhausted."""
 
 
-@dataclass(frozen=True)
-class BscaConfig:
+class BscaConfig(Frozen):
     """Caps and switches for the combined solver's choice-space enumeration.
 
     ``max_partition_vars`` bounds the number of variables the variable
@@ -108,8 +108,7 @@ class BscaConfig:
     keep_traces: bool = True
 
 
-@dataclass
-class BscaTrace:
+class BscaTrace(Record):
     """Intermediate states of one (partition, split) branch of a run."""
 
     gamma0: tuple[Problem, ...]
@@ -129,10 +128,9 @@ class BscaTrace:
     combined: Substitution | None
 
 
-@dataclass
-class CombinedResult:
+class CombinedResult(Record):
     unifiers: list[Substitution]
-    traces: list[BscaTrace] = field(default_factory=list)
+    traces: list[BscaTrace] = []
 
 
 def _fresh_var(taken: set[str]) -> str:
@@ -360,8 +358,7 @@ def split_problems(problems: Iterable[Problem]) -> tuple[list[Problem], list[Pro
     return g41, g42
 
 
-@dataclass
-class SplitAttempt:
+class SplitAttempt(Record):
     """One two-block variable split with its component solver outcomes.
 
     ``sigma1``/``sigma2`` are None when the corresponding pure solver found

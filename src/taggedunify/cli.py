@@ -4,7 +4,8 @@ Subcommands: ``unify``, ``dnut check``, ``dnut tag``, ``prove-theorem`` and
 ``parse`` (round-trip debug).  Input is a path, ``-`` for stdin, or inline
 text via ``-e``.  Exit codes: 0 success/unifiable/satisfied, 1 negative
 result, 2 input error (also an ``OSError`` in any subcommand, reading or
-writing), 3 enumeration caps hit.  :func:`main` is the one place errors map
+writing), 3 enumeration caps hit or unifiers whose text exceeds
+:data:`MAX_OUTPUT_CHARS`.  :func:`main` is the one place errors map
 to exit codes.
 
 The environment variable ``TAGGEDUNIFY_CAPS`` overrides enumeration caps,
@@ -20,7 +21,6 @@ so a wrapper set on this module (a tracer's, say) is what runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import json
 import os
@@ -36,9 +36,10 @@ from .textfmt import (
     render_problem_file,
     render_substitution,
     render_term,
+    rendered_length,
     substitution_to_jsonable,
 )
-from .unify import ImpureTermError, unify_free_xor, unify_std
+from .unify import ImpureTermError, Substitution, unify_free_xor, unify_std
 
 _LAZY = {
     "unify_acun": "acun", "BscaConfig": "bsca", "unify_combined": "bsca",
@@ -61,6 +62,15 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAPS = 3
+
+# the most characters of terms the printed substitutions of one unify call
+# may hold: a unifier is a DAG whose text can double with each variable
+MAX_OUTPUT_CHARS = 1_000_000
+
+
+class OutputTooLarge(Exception):
+    """The text of the substitutions to print exceeds :data:`MAX_OUTPUT_CHARS`."""
+
 
 _CAP_KEYS = {
     "partition-vars": "max_partition_vars",
@@ -85,7 +95,7 @@ def caps_from_env(base: BscaConfig | None = None) -> BscaConfig:
             overrides[_CAP_KEYS[key.strip()]] = cap
         except (ValueError, KeyError) as exc:
             raise ValueError(f"bad TAGGEDUNIFY_CAPS entry {part!r}") from exc
-    return dataclasses.replace(base, **overrides)
+    return base.replace(**overrides)
 
 
 def _read_input(args: argparse.Namespace) -> str:
@@ -96,6 +106,18 @@ def _read_input(args: argparse.Namespace) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _check_output_size(substitutions: Sequence[Substitution]) -> None:
+    """Raise :class:`OutputTooLarge` before any of ``substitutions`` is
+    rendered if their terms' text would exceed :data:`MAX_OUTPUT_CHARS`."""
+    memo: dict[int, int] = {}
+    size = sum(rendered_length(t, memo) for s in substitutions for t in s.bindings.values())
+    if size > MAX_OUTPUT_CHARS:
+        raise OutputTooLarge(
+            f"output too large: the substitutions' terms take {size} characters, "
+            f"more than the output cap of {MAX_OUTPUT_CHARS}"
+        )
 
 
 def _problems_and_theory(pf: ProblemFile, flag: str | None) -> tuple[list[Problem], Theory]:
@@ -119,13 +141,15 @@ def cmd_unify(args: argparse.Namespace) -> int:
     caps = caps_from_env()
     if theory is Theory.COMBINED:
         # traces are kept only for --explain, so they are printed whenever kept
-        result = _cli.unify_combined(problems, dataclasses.replace(caps, keep_traces=args.explain))
+        result = _cli.unify_combined(problems, caps.replace(keep_traces=args.explain))
         unifiers, traces = result.unifiers, result.traces
     else:
         solver = {Theory.STD: unify_std, Theory.FREE_XOR: unify_free_xor,
                   Theory.ACUN: _cli.unify_acun}
         sigma = solver[theory](problems)
         unifiers, traces = ([] if sigma is None else [sigma]), []
+    printed = [s for t in traces for s in (t.sigma1, t.sigma2, t.combined) if s is not None]
+    _check_output_size(unifiers + printed)
 
     if args.format == "json":
         for sigma in unifiers:
@@ -257,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _caps_exceeded() -> type[Exception] | tuple[()]:
-    """The cap error once ``bsca``, which raises it, is loaded; else nothing."""
+def _caps_exceeded() -> tuple[type[Exception], ...]:
+    """The cap errors: the output cap's, and the enumeration caps' once
+    ``bsca``, which raises it, is loaded."""
     bsca = sys.modules.get(f"{__package__}.bsca")
-    return () if bsca is None else bsca.ChoiceSpaceExceeded
+    return (OutputTooLarge,) if bsca is None else (OutputTooLarge, bsca.ChoiceSpaceExceeded)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

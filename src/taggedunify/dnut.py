@@ -11,12 +11,13 @@ makes equational unifiability collapse to free unifiability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .terms import (
     ZERO,
+    Frozen,
     Problem,
+    Record,
     Seq,
     TagConst,
     Term,
@@ -29,15 +30,13 @@ from .textfmt import render_term
 from .unify import unify_free_xor
 
 
-@dataclass(frozen=True)
-class DnutViolation:
+class DnutViolation(Frozen):
     condition: int
     witness: tuple[Term, ...]
     enclosing: tuple[Term, ...]
 
 
-@dataclass
-class DnutReport:
+class DnutReport(Record):
     satisfied: bool
     violations: list[DnutViolation]
 

@@ -25,7 +25,6 @@ test runs after the candidate pool and the ceiling, so it never turns a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import chain, combinations, count, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,9 +33,11 @@ from .dnut import dnut_check, dnut_tag
 from .terms import (
     ZERO,
     Const,
+    Frozen,
     Penc,
     Pk,
     Problem,
+    Record,
     Senc,
     Seq,
     Sh,
@@ -68,8 +69,7 @@ class BoundExceeded(Exception):
     """The oracle's candidate space outgrew the configured ceiling."""
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Frozen):
     """Bounds and seed for the deterministic generators and the oracle.
 
     The same seed always produces the same sample stream.
@@ -80,7 +80,8 @@ class GenConfig:
     samples: int = 100
     oracle_ceiling: int = 400_000
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         for name in ("max_depth", "samples", "oracle_ceiling"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -426,8 +427,7 @@ def combined_unifiable(m: Term, t: Term, caps: BscaConfig = HARNESS_CAPS) -> boo
     return bool(unify_combined([Problem(m, t)], caps).unifiers)
 
 
-@dataclass
-class PairReport:
+class PairReport(Record):
     lhs: Term
     rhs: Term
     combined: bool | None  # None: enumeration caps were hit
@@ -439,8 +439,7 @@ class PairReport:
         return {**jsonable(self), "non_variable": True}  # variables never enter a pair
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(Record):
     """Outcome of checking one term set: for every non-variable pair, does
     combined unifiability imply free unifiability?"""
 
@@ -526,8 +525,7 @@ def shrink_pair(
     return m, t
 
 
-@dataclass
-class HarnessReport:
+class HarnessReport(Record):
     """Aggregate over many generated tagged protocols."""
 
     samples: int
@@ -535,10 +533,10 @@ class HarnessReport:
     pairs_total: int = 0
     combined_unifiable_pairs: int = 0
     free_unifiable_pairs: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
+    counterexamples: list[dict] = []
     counterexamples_nonseq: int = 0
     counterexamples_unordered_variant: int = 0
-    incomplete: list[dict] = field(default_factory=list)
+    incomplete: list[dict] = []
 
     def to_jsonable(self) -> dict:
         return {

@@ -17,30 +17,139 @@ unity element and never cancel duplicate summands.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
+_set = object.__setattr__  # a constructor's one way past a frozen __setattr__
 
-class Term:
-    """Base class for all term constructors."""
+
+class Record:
+    """Base of the package's value classes: terms, problems, configurations
+    and reports.
+
+    A record's fields are its ``__slots__`` when it has them (the term
+    constructors and :class:`Problem`, which write their own constructors),
+    otherwise its annotations in order, with the class-level values as
+    defaults; this base's constructor takes those fields by position or
+    keyword and gives each instance its own copy of a list or dict default.
+    Records of one class are equal when their fields are, a record's
+    ``repr`` is ``Name(field=value, ...)`` and :meth:`replace` copies it
+    with some fields changed.  A record is mutable and unhashable; a
+    :class:`Frozen` one is neither.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _defaults: dict[str, object]
+    _values: Callable[[Record], object]  # the field values, a bare one if single
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "__slots__" in own:
+            cls._fields, cls._defaults = tuple(own["__slots__"]), {}
+        else:
+            cls._fields = tuple(cls.__annotations__)
+            cls._defaults = {name: own[name] for name in cls._fields if name in own}
+        cls._values = attrgetter(*cls._fields) if cls._fields else staticmethod(lambda r: ())
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name in values or name not in cls._fields:
+                raise TypeError(f"{cls.__name__}() got a repeated or unknown argument {name!r}")
+            values[name] = value
+        for name in cls._fields:
+            if name not in values:
+                if name not in cls._defaults:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                value = cls._defaults[name]
+                values[name] = value.copy() if isinstance(value, (list, dict)) else value
+            _set(self, name, values[name])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def replace(self, **changes):
+        """A copy of this record with the given fields changed."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, past a frozen __setattr__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Frozen(Record):
+    """A record that cannot change after construction: it hashes on its
+    fields, and assigning or deleting a field raises
+    :class:`AttributeError`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Term(Frozen):
+    """Base class for all term constructors.
+
+    Each constructor writes its own ``__eq__`` and ``__hash__`` with the
+    same meaning as the base's: the shared ones cost up to half again as
+    much per node, and hashing and comparing terms is hot in the solvers'
+    caches and the oracle's sets.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
 class TagConst(Term):
     """Tag constant with a structured numeric path, rendered ``2.1``, ``3.3.1``.
 
@@ -49,70 +158,142 @@ class TagConst(Term):
     deterministically for nested xor terms.
     """
 
-    path: tuple[int, ...]
+    __slots__ = ("path",)
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    def __init__(self, path: tuple[int, ...]) -> None:
+        _set(self, "path", path)
+        if not path:
             raise ValueError("tag path must be nonempty")
-        if any(part < 1 for part in self.path):
+        if any(part < 1 for part in path):
             raise ValueError("tag path components must be positive integers")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.path,) == (other.path,)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        return hash((self.path,))
+
+
 class Zero(Term):
     """The xor unity element.  A dedicated constructor, not a constant named
     ``0``, so unity checks cannot be spoofed by a user-defined constant."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
 ZERO = Zero()
 
 
-@dataclass(frozen=True, slots=True)
 class Seq(Term):
-    items: tuple[Term, ...]
+    __slots__ = ("items",)
 
-    def __post_init__(self) -> None:
-        if not self.items:
+    def __init__(self, items: tuple[Term, ...]) -> None:
+        _set(self, "items", items)
+        if not items:
             raise ValueError("sequence must be nonempty")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.items,) == (other.items,)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        return hash((self.items,))
+
+
 class Penc(Term):
     """Public-key encryption of ``body`` under ``key``."""
 
-    body: Term
-    key: Term
+    __slots__ = ("body", "key")
+
+    def __init__(self, body: Term, key: Term) -> None:
+        _set(self, "body", body)
+        _set(self, "key", key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.body, self.key) == (other.body, other.key)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.key))
 
 
-@dataclass(frozen=True, slots=True)
 class Senc(Term):
     """Symmetric encryption of ``body`` under ``key``."""
 
-    body: Term
-    key: Term
+    __slots__ = ("body", "key")
+
+    def __init__(self, body: Term, key: Term) -> None:
+        _set(self, "body", body)
+        _set(self, "key", key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.body, self.key) == (other.body, other.key)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.key))
 
 
-@dataclass(frozen=True, slots=True)
 class Pk(Term):
-    agent: Term
+    __slots__ = ("agent",)
+
+    def __init__(self, agent: Term) -> None:
+        _set(self, "agent", agent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.agent,) == (other.agent,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.agent,))
 
 
-@dataclass(frozen=True, slots=True)
 class Sh(Term):
-    a: Term
-    b: Term
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Term, b: Term) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
 
-@dataclass(frozen=True, slots=True)
 class Xor(Term):
     """Variadic xor node.  Width is at least two at construction; nested xors
     stay nested until :func:`acun_normal_form` is applied explicitly."""
 
-    items: tuple[Term, ...]
+    __slots__ = ("items",)
 
-    def __post_init__(self) -> None:
-        if len(self.items) < 2:
+    def __init__(self, items: tuple[Term, ...]) -> None:
+        _set(self, "items", items)
+        if len(items) < 2:
             raise ValueError("xor needs at least two summands")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.items,) == (other.items,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
 
 
 STD = "std"
@@ -123,8 +304,7 @@ def _no_args(t: Term) -> tuple[Term, ...]:
     return ()
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(Frozen):
     """One constructor's entry in :data:`SIGNATURE`.
 
     ``op`` is the text name (None for atoms) and ``side`` the signature the
@@ -352,13 +532,15 @@ def fresh_name(candidates: Iterable[str], taken: set[str]) -> str:
     raise ValueError("candidate names exhausted")
 
 
-@dataclass(frozen=True, slots=True)
-class Problem:
+class Problem(Frozen):
     """A single unification problem: make ``lhs`` and ``rhs`` equal modulo
     whatever theory the caller is working in."""
 
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 def problem_vars(problems: Iterable[Problem]) -> frozenset[str]:

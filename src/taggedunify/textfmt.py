@@ -13,13 +13,13 @@ xor.  ``#`` starts a line comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
 
 from .terms import (
     SIGNATURE,
     ZERO,
     Const,
     Problem,
+    Record,
     Seq,
     TagConst,
     Term,
@@ -182,6 +182,24 @@ def render_term(t: Term) -> str:
     return f"[{inner}]" if type(t) is Seq else f"{sig.op}({inner})"
 
 
+def rendered_length(t: Term, memo: dict[int, int]) -> int:
+    """``len(render_term(t))``, measured on the term's DAG: ``memo`` maps
+    the id of each node already measured to its length, so a shared node
+    is measured once and a term whose text is exponential in its number of
+    nodes is measured in time linear in that number."""
+    known = memo.get(id(t))
+    if known is None:
+        args = children(t)
+        if not args:
+            known = len(render_term(t))
+        else:
+            head = 0 if type(t) is Seq else len(SIGNATURE[type(t)].op)
+            # the brackets or parentheses and a ", " between arguments
+            known = head + 2 * len(args) + sum(rendered_length(c, memo) for c in args)
+        memo[id(t)] = known
+    return known
+
+
 def parse_substitution(src: str, line: int | None = None) -> Substitution:
     """Parse ``{ t1/X1, t2/X2 }`` (or ``{}``) into a substitution."""
     p = _Parser(src, line)
@@ -210,8 +228,7 @@ def render_substitution(s: Substitution) -> str:
     return "{ " + inner + " }"
 
 
-@dataclass
-class Entry:
+class Entry(Record):
     """One ``lhs ~? rhs @theory`` line of a problem file."""
 
     lhs: Term
@@ -223,11 +240,10 @@ class Entry:
         return Problem(self.lhs, self.rhs)
 
 
-@dataclass
-class ProblemFile:
-    entries: list[Entry] = field(default_factory=list)
-    sets: dict[str, list[Term]] = field(default_factory=dict)
-    terms: list[Term] = field(default_factory=list)
+class ProblemFile(Record):
+    entries: list[Entry] = []
+    sets: dict[str, list[Term]] = {}
+    terms: list[Term] = []
     default_theory: Theory | None = None
 
 
@@ -311,16 +327,16 @@ def substitution_to_jsonable(s: Substitution) -> dict[str, str]:
 
 def jsonable(value):
     """The JSON form of a report value: terms as their text, problems as
-    ``{lhs, rhs}``, substitutions as sorted maps, a dataclass as the dict of
-    its fields, tuples and lists as lists and dicts by their values."""
+    ``{lhs, rhs}``, substitutions as sorted maps, any other record as the dict
+    of its fields, tuples and lists as lists and dicts by their values."""
     if isinstance(value, Term):
         return render_term(value)
     if isinstance(value, Problem):
         return problem_to_jsonable(value)
     if isinstance(value, Substitution):
         return substitution_to_jsonable(value)
-    if is_dataclass(value):
-        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Record):
+        return {name: jsonable(getattr(value, name)) for name in value._fields}
     if isinstance(value, (tuple, list)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):

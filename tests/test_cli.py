@@ -7,10 +7,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from taggedunify.cli import main
+from taggedunify.cli import MAX_OUTPUT_CHARS, main
 
 WORKED_EXAMPLE = "penc([1, n_a], pk(B)) ~? penc([1, N_B], pk(a)) + [2, A] + [2, b]"
 
@@ -166,6 +167,11 @@ class TestUnify:
         assert code == 1
         assert out.splitlines() == ["not unifiable"]
 
+    def test_nesting_below_the_recursion_limit_solves(self, capsys):
+        nested = f"{'[' * 200}a{']' * 200}"
+        code, out, err = run(capsys, "unify", "-e", f"X ~? {nested} @combined")
+        assert (code, out, err) == (0, f"{{ {nested}/X }}\n", "")
+
     def test_deep_nesting_is_an_input_error(self, capsys):
         depth = 3000
         code, out, err = run(
@@ -174,6 +180,31 @@ class TestUnify:
         assert code == 2
         assert err.strip() == "error: input nested too deeply"
         assert out == ""
+
+
+def doubling_chain(n: int) -> str:
+    """``[X1..Xn] ~? [[X0,X0]..[Xn-1,Xn-1]]``: its unifier is a DAG of n
+    nodes whose text doubles with each variable."""
+    lhs = ", ".join(f"X{i}" for i in range(1, n + 1))
+    rhs = ", ".join(f"[X{i}, X{i}]" for i in range(n))
+    return f"[{lhs}] ~? [{rhs}] @std"
+
+
+class TestOutputCap:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exponential_text_exits_3(self, capsys, fmt):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "unify", "--format", fmt, "-e", doubling_chain(20))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.startswith("error: output too large:") and err.count("\n") == 1
+        assert str(MAX_OUTPUT_CHARS) in err
+
+    def test_below_the_cap_prints_everything(self, capsys):
+        code, out, _ = run(capsys, "unify", "-e", doubling_chain(10))
+        assert code == 0
+        assert out.startswith("{ [X0, X0]/X1, ") and out.endswith("/X9 }\n")
+        assert out.count("X0") == sum(2**k for k in range(1, 11))  # Xk holds 2^k
 
 
 class TestDnut:

@@ -1,8 +1,10 @@
-"""Each CLI subcommand loads only the modules it runs, and the lazily loaded
-names behave as the eager ones did: for ``from taggedunify import X``, for
-the exit codes, and for a tracer that patches them on ``taggedunify.cli``.
-The checks that depend on what is already imported run in fresh processes."""
+"""Each CLI subcommand loads only the modules it runs, none of them
+``dataclasses``, and the lazily loaded names behave as the eager ones did:
+for ``from taggedunify import X``, for the exit codes, and for a tracer that
+patches them on ``taggedunify.cli``.  The checks that depend on what is
+already imported run in fresh processes."""
 
+import ast
 import json
 import os
 import pathlib
@@ -35,15 +37,15 @@ EXPORTS = [
 ]
 
 
-# runs the CLI as ``-m`` does, then names the package's loaded layers on
-# stderr's last line
+# runs the CLI as ``-m`` does, then names every loaded module on stderr's
+# last line
 RUN_CLI = """
 import runpy, sys
 sys.argv[0] = "taggedunify"
 try:
     runpy.run_module("taggedunify.cli", run_name="__main__", alter_sys=True)
 finally:
-    print(*sorted(m for m in sys.modules if m.startswith("taggedunify.")), file=sys.stderr)
+    print(*sorted(sys.modules), file=sys.stderr)
 """
 
 
@@ -54,11 +56,21 @@ def fresh(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def cli_layers(*argv: str) -> tuple[int, set[str]]:
-    """The exit code of a fresh CLI call and the layers it loaded."""
+def cli_modules(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of a fresh CLI call and the modules it loaded."""
     done = fresh("-c", RUN_CLI, *argv)
     *_, loaded = done.stderr.splitlines()
-    return done.returncode, {m.removeprefix("taggedunify.") for m in loaded.split()}
+    return done.returncode, set(loaded.split())
+
+
+def package_layers(modules: set[str]) -> set[str]:
+    return {m.removeprefix("taggedunify.") for m in modules if m.startswith("taggedunify.")}
+
+
+def cli_layers(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of a fresh CLI call and the package layers it loaded."""
+    code, modules = cli_modules(*argv)
+    return code, package_layers(modules)
 
 
 class TestExports:
@@ -88,11 +100,15 @@ class TestSubcommandImports:
         ],
     )
     def test_loaded_layers(self, argv, lazy):
-        code, layers = cli_layers(*argv)
+        code, modules = cli_modules(*argv)
+        layers = package_layers(modules)
         assert code in (0, 1)
         assert layers & LAZY_LAYERS == lazy
         assert {"terms", "textfmt", "unify"} <= layers
         assert "cli" not in layers  # run as __main__ only
+        # importing dataclasses, which imports inspect, ast, dis and
+        # tokenize, was the largest single start-up cost of these calls
+        assert not {"dataclasses", "inspect"} & modules
 
     def test_caps_still_exit_3(self):
         # 48 input variables, far past the default partition cap of 9
@@ -144,3 +160,15 @@ def test_tracer_wraps_the_lazy_names():
     codes, calls = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0, 1, 0]
     assert calls == [1, 1, 1]
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((ROOT / "src" / "taggedunify").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name

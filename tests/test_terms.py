@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import hypothesis.strategies as st
 import pytest
@@ -13,6 +15,7 @@ from taggedunify.terms import (
     Const,
     Penc,
     Pk,
+    Problem,
     Senc,
     Seq,
     Sh,
@@ -36,6 +39,7 @@ from taggedunify.terms import (
     sort_key,
     subterms_of_set,
 )
+from taggedunify import terms as terms_module
 from taggedunify.textfmt import parse_term
 
 
@@ -195,17 +199,17 @@ class TestEqualMod:
 
 class TestConstructors:
     def test_xor_needs_two_summands(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^xor needs at least two summands$"):
             Xor((Const("a"),))
 
     def test_seq_nonempty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sequence must be nonempty$"):
             Seq(())
 
     def test_tag_path_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tag path components must be positive integers$"):
             TagConst((0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tag path must be nonempty$"):
             TagConst(())
 
     @given(atoms)
@@ -264,3 +268,96 @@ class TestSignature:
             assert is_pure(head, Theory.STD) == (side_of(v) == STD)
             assert is_pure(head, Theory.ACUN) == (side_of(v) == XOR)
             assert is_pure(head, Theory.COMBINED)
+
+
+def structure(u: Term) -> tuple:
+    """``u`` as nested tuples of constructor names and payloads: the
+    reference for structural equality."""
+    if isinstance(u, (Var, Const)):
+        return (type(u).__name__, u.name)
+    if isinstance(u, TagConst):
+        return ("TagConst", u.path)
+    return (type(u).__name__, *map(structure, children(u)))
+
+
+def copy_of(u: Term) -> Term:
+    """A structurally equal term that shares no node with ``u``."""
+    if isinstance(u, (Var, Const)):
+        return type(u)(str(u.name))
+    if isinstance(u, TagConst):
+        return TagConst(tuple(u.path))
+    if u == ZERO:
+        return type(u)()
+    return rebuild(u, tuple(map(copy_of, children(u))))
+
+
+class TestValueSemantics:
+    """Terms and problems are values: equal iff structurally equal, hashed
+    on their fields, printed as constructor calls and never changed."""
+
+    @given(terms(), terms())
+    def test_equal_iff_structurally_equal(self, u, v):
+        assert (u == v) == (structure(u) == structure(v))
+        assert (u != v) == (structure(u) != structure(v))
+        w = copy_of(u)
+        assert w is not u and w == u and hash(w) == hash(u)
+        assert Problem(u, v) == Problem(w, copy_of(v))
+        assert hash(Problem(u, v)) == hash(Problem(w, copy_of(v)))
+
+    @given(st.lists(terms(max_leaves=4), min_size=2, max_size=3).map(tuple))
+    def test_same_payload_different_constructor(self, items):
+        assert Var("a") != Const("a") and Const("a") != Var("a")
+        assert Seq(items) != Xor(items) and Xor(items) != Seq(items)
+        x, y = items[:2]
+        assert len({Penc(x, y), Senc(x, y), Sh(x, y)}) == 3
+        assert Problem(x, y) != (x, y)
+
+    def test_hash_is_the_fields_tuple_hash(self):
+        a, x = Const("a"), Var("X")
+        assert hash(x) == hash(("X",))
+        assert hash(TagConst((1, 2))) == hash(((1, 2),))
+        assert hash(ZERO) == hash(())
+        assert hash(Seq((a, x))) == hash(((a, x),)) == hash(Xor((a, x)))
+        assert hash(Penc(a, x)) == hash((a, x)) == hash(Problem(a, x))
+        assert hash(Pk(a)) == hash((a,))
+
+    @given(terms())
+    def test_fields_cannot_change(self, u):
+        for v in (u, Problem(u, u)):
+            name = (type(v).__slots__ or ("name",))[0]
+            with pytest.raises(AttributeError):
+                setattr(v, name, ZERO)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+            with pytest.raises(AttributeError):
+                v.other = ZERO
+
+    def test_repr(self):
+        a = Const("a")
+        assert repr(Var("X")) == "Var(name='X')"
+        assert repr(ZERO) == "Zero()"
+        assert repr(Seq((a, TagConst((1, 2))))) == (
+            "Seq(items=(Const(name='a'), TagConst(path=(1, 2))))"
+        )
+        assert repr(Problem(Penc(a, Var("X")), Xor((Pk(a), Sh(a, ZERO))))) == (
+            "Problem(lhs=Penc(body=Const(name='a'), key=Var(name='X')), "
+            "rhs=Xor(items=(Pk(agent=Const(name='a')), Sh(a=Const(name='a'), b=Zero()))))"
+        )
+
+    @given(terms())
+    def test_repr_rebuilds_the_term(self, u):
+        assert eval(repr(u), vars(terms_module)) == u
+
+    @given(terms())
+    def test_copy_and_pickle(self, u):
+        for v in (u, Problem(u, ZERO)):
+            assert copy.copy(v) == v and copy.deepcopy(v) == v
+            assert pickle.loads(pickle.dumps(v)) == v
+
+    def test_keyword_construction_and_replace(self):
+        a, x = Const("a"), Var("X")
+        assert Penc(key=x, body=a) == Penc(a, x)
+        assert Penc(a, x).replace(key=a) == Penc(a, a)
+        assert Problem(a, x).replace(rhs=a) == Problem(a, a)
+        with pytest.raises(TypeError):
+            Penc(a, x).replace(agent=a)

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -12,7 +14,9 @@ from taggedunify.textfmt import (
     parse_term,
     render_problem_file,
     render_substitution,
+    jsonable,
     render_term,
+    rendered_length,
 )
 from taggedunify.unify import Substitution
 
@@ -103,6 +107,23 @@ class TestRenderTerm:
         assert type(again) is type(t)
 
 
+class TestRenderedLength:
+    @given(terms())
+    def test_is_the_text_length(self, t):
+        memo: dict[int, int] = {}
+        assert rendered_length(t, memo) == len(render_term(t))
+        assert rendered_length(t, memo) == len(render_term(t))  # read from memo
+
+    def test_measures_each_shared_node_once(self):
+        t = Var("X")
+        for _ in range(60):
+            t = Seq((t, t))
+        memo: dict[int, int] = {}
+        # L(0) = 1 and L(k) = 2 L(k-1) + 4, the brackets and ", "
+        assert rendered_length(t, memo) == 5 * 2**60 - 4
+        assert len(memo) == 61
+
+
 class TestSubstitutionText:
     def test_parse_single(self):
         got = parse_substitution("{ a/B }")
@@ -170,3 +191,104 @@ class TestProblemFile:
             default_theory=Theory.COMBINED,
         )
         assert parse_problem_file(render_problem_file(pf)) == pf
+
+
+class TestRecords:
+    """Reports and configurations: fields, defaults, equality, hashability,
+    repr and the JSON form."""
+
+    def test_frozen_config(self):
+        from taggedunify.bsca import BscaConfig
+
+        cfg = BscaConfig()
+        assert repr(cfg) == (
+            "BscaConfig(max_partition_vars=9, max_branches=100000, prune=True, "
+            "first_only=False, keep_traces=True)"
+        )
+        assert BscaConfig(9, first_only=True) == cfg.replace(first_only=True) != cfg
+        assert hash(BscaConfig()) == hash(cfg)
+        with pytest.raises(AttributeError):
+            cfg.prune = False
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        with pytest.raises(TypeError):
+            BscaConfig(full_identification=True)
+        with pytest.raises(TypeError):
+            BscaConfig(1, 2, True, True, True, True)
+        with pytest.raises(TypeError):
+            BscaConfig(1, max_partition_vars=2)
+
+    def test_mutable_report(self):
+        from taggedunify.bsca import CombinedResult
+
+        a, b = CombinedResult([]), CombinedResult([])
+        a.traces.append(None)
+        assert b.traces == [] and a != b
+        a.unifiers = [Substitution()]
+        assert repr(a) == "CombinedResult(unifiers=[Substitution({})], traces=[None])"
+        with pytest.raises(TypeError):
+            hash(b)
+        with pytest.raises(TypeError):
+            CombinedResult()
+
+    def test_jsonable_dnut_report(self):
+        from taggedunify.dnut import dnut_check
+
+        report = dnut_check([parse_term("xor([1, A], [1, b], 0)")])
+        assert jsonable(report) == {
+            "satisfied": False,
+            "violations": [
+                {"condition": 1, "witness": ["[1, A]", "[1, b]"],
+                 "enclosing": ["xor([1, A], [1, b], 0)"]},
+                {"condition": 3, "witness": ["0"], "enclosing": ["xor([1, A], [1, b], 0)"]},
+            ],
+        }
+
+    def test_jsonable_bsca_trace(self):
+        from taggedunify.bsca import unify_combined
+
+        problem = Entry(parse_term("[X, xor(Y, a)]"), parse_term("[b, c]"), Theory.COMBINED)
+        trace = unify_combined([problem.problem]).traces[6]
+
+        def problems(*pairs):
+            return [{"lhs": lhs, "rhs": rhs} for lhs, rhs in pairs]
+
+        assert jsonable(trace) == {
+            "gamma0": problems(("[X, xor(Y, a)]", "[b, c]")),
+            "gamma1": problems(("W", "a"), ("Z", "xor(Y, W)"), ("[X, Z]", "[b, c]")),
+            "gamma2": problems(("W", "a"), ("Z", "xor(Y, W)"), ("[X, Z]", "[b, c]")),
+            "var_id_partition": [["W"], ["X"], ["Y"], ["Z"]],
+            "gamma3": problems(("W", "a"), ("Z", "xor(Y, W)"), ("[X, Z]", "[b, c]")),
+            "gamma41": problems(("W", "a"), ("[X, Z]", "[b, c]")),
+            "gamma42": problems(("Z", "xor(Y, W)")),
+            "var_split": [["W", "X", "Z"], ["Y"]],
+            "beta": {"W": "w", "Z": "z"},
+            "gamma51": problems(("W", "a"), ("[X, Z]", "[b, c]")),
+            "gamma52": problems(("z", "xor(Y, w)")),
+            "linear_order": ["W", "X", "Z", "Y"],
+            "sigma1": {"W": "a", "X": "b", "Z": "c"},
+            "sigma2": {"Y": "xor(w, z)"},
+            "combined": {"X": "b", "Y": "xor(a, c)"},
+        }
+
+    def test_jsonable_theorem_report(self):
+        from taggedunify.oracle import check_theorem
+
+        report = check_theorem(
+            [parse_term("[1, A]"), parse_term("xor([2, b], [3, B])"), parse_term("[1, b]")]
+        )
+
+        def pair(lhs, rhs, unifiable):
+            return {"lhs": lhs, "rhs": rhs, "combined": unifiable, "free": unifiable,
+                    "free_unordered": unifiable, "non_sequence": False}
+
+        assert jsonable(report) == {
+            "dnut_satisfied": True,
+            "pairs": [
+                pair("[1, b]", "[1, A]", True),
+                pair("[1, b]", "xor([2, b], [3, B])", False),
+                pair("[1, A]", "xor([2, b], [3, B])", False),
+            ],
+            "counterexamples": [],
+            "premise_fail_equational": [],
+            "incomplete": [],
+        }
