@@ -15,13 +15,13 @@ from itertools import count
 from typing import Iterable
 
 from .terms import (
-    ZERO,
     Frozen,
     Problem,
     Term,
     Theory,
     Var,
     Xor,
+    Zero,
     acun_normal_form,
     fresh_name,
     is_pure,
@@ -53,7 +53,7 @@ def build_gf2_system(problems: Iterable[Problem]) -> Gf2System:
     # the unity element contributes nothing: nf drops it before encoding
     diffs = [acun_normal_form(Xor((p.lhs, p.rhs))) for p in probs]
     summand_lists = [
-        () if d == ZERO else (d.items if isinstance(d, Xor) else (d,)) for d in diffs
+        () if isinstance(d, Zero) else (d.items if isinstance(d, Xor) else (d,)) for d in diffs
     ]
     var_names = sorted(problem_vars(probs))
     atom_set = {u for summands in summand_lists for u in summands if not isinstance(u, Var)}

@@ -22,6 +22,7 @@ from .terms import (
     TagConst,
     Term,
     Xor,
+    Zero,
     decompose,
     iter_subterms,
     map_args,
@@ -73,7 +74,7 @@ def dnut_check(terms: Iterable[Term]) -> DnutReport:
             for j in range(i + 1, len(items)):
                 if _std_unifiable(items[i], items[j]):
                     violations.append(DnutViolation(1, (items[i], items[j]), (x,)))
-        if any(it == ZERO for it in items):
+        if any(isinstance(it, Zero) for it in items):
             violations.append(DnutViolation(3, (ZERO,), (x,)))
     for i in range(len(xors)):
         for j in range(i + 1, len(xors)):

@@ -20,12 +20,30 @@ normal form keeps every constructor and atom above the first variable or
 xor node, so every ground instance of the problem keeps the clash.  The
 test runs after the candidate pool and the ceiling, so it never turns a
 :class:`BoundExceeded` into False.
+
+In the xor theories the oracle does its xor arithmetic on integers.  A
+normal form is fully determined by its set of non-unity summands, so with
+one bit per summand two normal forms are equal exactly when their masks
+are, and the normal form of an xor is the xor of the masks
+(:func:`~taggedunify.terms.summand_mask`).  The pool's combinations are
+built from masks this way, and a component whose stop pairs are all linear
+(each side an xor or a single summand, every summand ground or a bare
+variable) is searched on masks too: each stop pair is one row, a constant
+mask plus the variables occurring an odd number of times, and an
+assignment is a witness exactly when every row xors to 0.  This is exact:
+above the stops both sides have the same free constructor, the normal form
+commutes with it, so the sides' normal forms are equal exactly when those
+of every stop pair are.  A component with any other stop pair, such as a
+variable facing a standard term that holds variables, and every call in a
+syntactic theory, are searched on terms.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import chain, combinations, count, permutations, product
+from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bsca import BscaConfig, ChoiceSpaceExceeded, unify_combined
@@ -58,6 +76,7 @@ from .terms import (
     rebuild,
     sort_key,
     subterms_of_set,
+    summand_mask,
     vars_of,
     xor_of,
 )
@@ -289,12 +308,23 @@ def _candidate_pool(problems: Sequence[Problem], theory: Theory) -> list[Term]:
         (u for p in problems for u in _xor_facing(p.lhs, p.rhs)),
     )
     combo_base = list(dict.fromkeys(chain((spare,), map(ground, summands))))
-    combos = (
-        acun_normal_form(xor_of(combo))
-        for size in range(2, 2 * MAX_XOR_WIDTH)
-        for combo in combinations(combo_base, size)
-    )
-    return list(dict.fromkeys(chain(base, combos)))
+    # one bit per summand of combo_base, in sort_key order: a combination's
+    # normal form has the xor of its members' masks, and its summands are
+    # that mask's bits in ascending order.  A base term's other summands
+    # take higher bits, which no combination sets
+    summand_at = sorted({u for t in combo_base for u in interm_occurrences(t)} - {ZERO},
+                        key=sort_key)
+    bits = {u: 1 << i for i, u in enumerate(summand_at)}
+    masks = [summand_mask(t, bits) for t in combo_base]
+    pool = list(dict.fromkeys(base))
+    seen = {summand_mask(t, bits) for t in pool}
+    for size in range(2, 2 * MAX_XOR_WIDTH):
+        for combo in combinations(masks, size):
+            mask = reduce(xor, combo)
+            if mask not in seen:
+                seen.add(mask)
+                pool.append(xor_of([u for i, u in enumerate(summand_at) if mask >> i & 1]))
+    return pool
 
 
 def _components(problems: list[Problem]) -> list[tuple[list[str], list[Problem]]]:
@@ -312,27 +342,93 @@ def _components(problems: list[Problem]) -> list[tuple[list[str], list[Problem]]
     return [(sorted(names), members) for names, members in groups]
 
 
+StopSide = tuple[int, frozenset[str]]  # its ground summands' mask, its odd variables
+
+
+def _linear_side(t: Term, bits: dict[Term, int]) -> StopSide | None:
+    """The xor of the summand masks of ``t``'s ground summands, and the
+    variables that stand as summands of ``t`` an odd number of times; None
+    when a summand holds a variable without being one."""
+    mask, odd = 0, frozenset()
+    for u in interm_occurrences(t):
+        if isinstance(u, Var):
+            odd ^= {u.name}
+        elif vars_of(u):
+            return None
+        else:
+            mask ^= summand_mask(acun_normal_form(u), bits)
+    return mask, odd
+
+
+def _xor_rows(
+    problems: list[Problem], bits: dict[Term, int]
+) -> list[tuple[StopSide, StopSide]] | None:
+    """Each aligned stop pair of ``problems`` as its two linear sides, or
+    None when some stop side is not linear."""
+    rows = []
+    for p in problems:
+        for s, t in _aligned_stops(p.lhs, p.rhs):
+            ls, rs = _linear_side(s, bits), _linear_side(t, bits)
+            if ls is None or rs is None:
+                return None
+            rows.append((ls, rs))
+    return rows
+
+
+def _row_values(rows: list[StopSide], masks: list[int]) -> Iterator[tuple[int, ...]]:
+    """For each assignment of pool masks to the rows' variables, the tuple
+    of the rows' xors."""
+    names = sorted(frozenset().union(*(odd for _, odd in rows)))
+    at = {v: i for i, v in enumerate(names)}
+    compiled = [(mask, [at[v] for v in odd]) for mask, odd in rows]
+    for combo in product(masks, repeat=len(names)):
+        values = []
+        for mask, ix in compiled:
+            for i in ix:
+                mask ^= combo[i]
+            values.append(mask)
+        yield tuple(values)
+
+
+def _term_values(t: Term, pool: list[Term], theory: Theory) -> Iterator[Term]:
+    """For each assignment of pool terms to ``t``'s variables, the value of
+    ``t``: its normal form in an xor theory."""
+    vs = sorted(vars_of(t))
+    for combo in product(pool, repeat=len(vs)):
+        u = Substitution(dict(zip(vs, combo))).apply(t)
+        yield u if theory.syntactic else acun_normal_form(u)
+
+
 def _has_witness(
-    names: list[str], problems: list[Problem], pool: list[Term], theory: Theory
+    names: list[str],
+    problems: list[Problem],
+    pool: list[Term],
+    theory: Theory,
+    masks: list[int],
+    bits: dict[Term, int],
 ) -> bool:
     """Whether some assignment of pool terms to ``names`` solves every
-    problem of one variable-connected component."""
+    problem of one variable-connected component.  ``masks`` are the pool
+    terms' summand masks under ``bits`` (none in a syntactic theory); when
+    every stop pair is linear, the search runs on them."""
+    rows = None if theory.syntactic else _xor_rows(problems, bits)
     if len(problems) == 1:
         lhs, rhs = problems[0].lhs, problems[0].rhs
-        lv, rv = sorted(vars_of(lhs)), sorted(vars_of(rhs))
-        if not set(lv) & set(rv):
+        lv, rv = vars_of(lhs), vars_of(rhs)
+        if not lv & rv:
             # the sides are independent: keep the side with fewer variables
             # as a set of values, stream the other side's values against it
+            if rows is None:
+                sides = [_term_values(t, pool, theory) for t in (lhs, rhs)]
+            else:
+                sides = [_row_values([row[k] for row in rows], masks) for k in (0, 1)]
             if len(rv) < len(lv):
-                lhs, rhs, lv, rv = rhs, lhs, rv, lv
-
-            def side_values(t: Term, vs: list[str]) -> Iterator[Term]:
-                for combo in product(pool, repeat=len(vs)):
-                    u = Substitution(dict(zip(vs, combo))).apply(t)
-                    yield u if theory.syntactic else acun_normal_form(u)
-
-            small = set(side_values(lhs, lv))
-            return any(u in small for u in side_values(rhs, rv))
+                sides.reverse()
+            small = set(sides[0])
+            return any(v in small for v in sides[1])
+    if rows is not None:
+        merged = [(lm ^ rm, lo ^ ro) for (lm, lo), (rm, ro) in rows]
+        return any(not any(values) for values in _row_values(merged, masks))
     for combo in product(pool, repeat=len(names)):
         sigma = Substitution(dict(zip(names, combo)))
         if all(equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), theory) for p in problems):
@@ -372,7 +468,11 @@ def ground_unifiable(
         )
     if any(_clashes(p) for p in probs):
         return False
-    return all(_has_witness(vs, ps, pool, theory) for vs, ps in _components(probs))
+    bits: dict[Term, int] = {}
+    masks = [] if theory.syntactic else [summand_mask(t, bits) for t in pool]
+    return all(
+        _has_witness(vs, ps, pool, theory, masks, bits) for vs, ps in _components(probs)
+    )
 
 
 def free_unifiable(problems: Iterable[Problem], order_sensitive: bool = True) -> bool:

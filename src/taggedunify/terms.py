@@ -509,10 +509,30 @@ def acun_normal_form(t: Term) -> Term:
         return t
     if isinstance(t, Xor):
         flat = [u for c in t.items for u in interm_occurrences(acun_normal_form(c))]
-        counts: Counter[Term] = Counter(u for u in flat if u != ZERO)
+        counts: Counter[Term] = Counter(u for u in flat if not isinstance(u, Zero))
         kept = sorted((u for u, k in counts.items() if k & 1), key=sort_key)
         return xor_of(kept)
     return map_args(acun_normal_form, t)
+
+
+def summand_mask(nf: Term, bits: dict[Term, int]) -> int:
+    """The set of a normal form's non-unity summands as a bitmask: the
+    union of ``bits[u]`` over them, where a summand not yet in ``bits`` is
+    given the next free bit.
+
+    A normal form is fully determined by that set, so under one ``bits``
+    two normal forms are equal exactly when their masks are, and the
+    normal form of an xor of normal forms has the xor of their masks.
+    """
+    mask = 0
+    for u in interm_occurrences(nf):
+        if isinstance(u, Zero):
+            continue
+        bit = bits.get(u)
+        if bit is None:
+            bit = bits[u] = 1 << len(bits)
+        mask |= bit
+    return mask
 
 
 def equal_mod(t1: Term, t2: Term, th: Theory) -> bool:

@@ -26,6 +26,7 @@ from .terms import (
     Theory,
     Var,
     Xor,
+    Zero,
     children,
 )
 from .unify import Substitution
@@ -173,7 +174,7 @@ def render_term(t: Term) -> str:
         return t.name
     if isinstance(t, TagConst):
         return ".".join(str(p) for p in t.path)
-    if t == ZERO:
+    if isinstance(t, Zero):
         return "0"
     sig = SIGNATURE.get(type(t))
     if sig is None:

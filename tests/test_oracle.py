@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import product
+from itertools import chain, combinations, count, product
 
 import hypothesis.strategies as st
 import pytest
@@ -9,10 +9,13 @@ from hypothesis import given, settings
 
 from taggedunify.bsca import BscaConfig
 from taggedunify.oracle import (
+    MAX_XOR_WIDTH,
     BoundExceeded,
     GenConfig,
     _candidate_pool,
     _clashes,
+    _xor_facing,
+    _xor_rows,
     check_theorem,
     combined_unifiable,
     free_unifiable,
@@ -27,18 +30,28 @@ from taggedunify.oracle import (
 from taggedunify.acun import unify_acun
 from taggedunify.dnut import dnut_check
 from taggedunify.terms import (
+    ZERO,
     Const,
     Problem,
     Theory,
     Var,
+    Xor,
+    acun_normal_form,
+    const_names_of,
     equal_mod,
+    fresh_name,
     interm_occurrences,
     is_pure,
     problem_vars,
+    sort_key,
+    subterms_of_set,
+    vars_of,
     xor_of,
 )
 from taggedunify.textfmt import parse_term, render_term
 from taggedunify.unify import Substitution, unify_free_xor
+
+from strategies import terms
 
 
 def prob(lhs: str, rhs: str) -> Problem:
@@ -78,6 +91,47 @@ def product_reference(problems, theory):
         if all(equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), theory) for p in problems):
             return True
     return False
+
+
+def pool_reference(problems, theory):
+    """The candidate pool built term by term, every combination through
+    the normal form, kept as the reference for the summand-mask pool."""
+    taken = set().union(*(const_names_of(s) for p in problems for s in (p.lhs, p.rhs)))
+    spare = Const(fresh_name((f"u{n}" for n in count()), taken))
+    sides = [s for p in problems for s in (p.lhs, p.rhs)]
+    subs = sorted(subterms_of_set(sides), key=sort_key)
+
+    def ground(t):
+        g = Substitution({v: spare for v in vars_of(t)}).apply(t)
+        return g if theory.syntactic else acun_normal_form(g)
+
+    base = chain((spare, ZERO), (ground(s) for s in subs if not isinstance(s, Var)))
+    if theory.syntactic:
+        return list(dict.fromkeys(base))
+    summands = chain(
+        (u for side in sides for u in interm_occurrences(side)),
+        (u for s in subs if isinstance(s, Xor) for u in s.items),
+        (u for p in problems for u in _xor_facing(p.lhs, p.rhs)),
+    )
+    combo_base = list(dict.fromkeys(chain((spare,), map(ground, summands))))
+    combos = (
+        acun_normal_form(xor_of(combo))
+        for size in range(2, 2 * MAX_XOR_WIDTH)
+        for combo in combinations(combo_base, size)
+    )
+    return list(dict.fromkeys(chain(base, combos)))
+
+
+def pure_xor_sets(seed, n):
+    """``n`` random problem sets of one or two pure xor problems over two
+    constants and three variables."""
+    rng = random.Random(seed)
+    pool = [Const("a"), Const("b"), Var("X"), Var("Y"), Var("Z")]
+
+    def side():
+        return xor_of([rng.choice(pool) for _ in range(rng.randint(1, 4))])
+
+    return [[Problem(side(), side()) for _ in range(rng.randint(1, 2))] for _ in range(n)]
 
 
 def legal_theories(problems):
@@ -145,17 +199,63 @@ class TestGroundUnifiableReference:
         assert checked > 400
 
     def test_pure_xor_problems_match_product_search(self):
-        rng = random.Random(17)
-        pool = [Const("a"), Const("b"), Var("X"), Var("Y"), Var("Z")]
-
-        def side():
-            return xor_of([rng.choice(pool) for _ in range(rng.randint(1, 4))])
-
         cfg = GenConfig()
-        for _ in range(100):
-            problems = [Problem(side(), side()) for _ in range(rng.randint(1, 2))]
+        for problems in pure_xor_sets(17, 100):
             assert ground_unifiable(problems, Theory.ACUN, cfg) == \
                 product_reference(problems, Theory.ACUN), problems
+
+    @pytest.mark.parametrize("pairs, unifiable, on_masks", [
+        # one component of two problems that share X: X = a + b, so Y = b
+        ([("xor(X, a)", "b"), ("xor(X, Y)", "a")], True, True),
+        ([("xor(X, a)", "b"), ("xor(X, b)", "b")], False, True),
+        # a standard skeleton over two xor stops: one row each
+        ([("[xor(X, a), xor(Y, b)]", "[b, a]")], True, True),
+        # independent sides: one side's row values are kept as a set
+        ([("xor(X, a)", "xor(Y, b)")], True, True),
+        # a repeated variable cancels and enters no row
+        ([("xor(X, X, a)", "a")], True, True),
+        ([("xor(X, X, a)", "b")], False, True),
+        # a variable on both sides cancels in the merged row
+        ([("xor(X, a)", "xor(X, b)")], False, True),
+        # a variable facing a standard term that holds a variable
+        ([("X", "penc(Y, a)")], True, False),
+    ])
+    def test_mask_path_branches_match_product_search(self, pairs, unifiable, on_masks):
+        problems = [prob(lhs, rhs) for lhs, rhs in pairs]
+        assert (_xor_rows(problems, {}) is not None) == on_masks
+        assert ground_unifiable(problems, Theory.COMBINED) == unifiable
+        for th in legal_theories(problems):
+            assert ground_unifiable(problems, th) == product_reference(problems, th), th
+
+    @given(st.lists(st.builds(Problem, terms(max_leaves=5), terms(max_leaves=5)),
+                    min_size=1, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_random_terms_match_product_search(self, problems):
+        cfg = GenConfig(oracle_ceiling=3000)  # keeps the reference's product small
+        for th in legal_theories(problems):
+            try:
+                found = ground_unifiable(problems, th, cfg)
+            except BoundExceeded:
+                continue
+            assert found == product_reference(problems, th), th
+
+
+class TestCandidatePoolReference:
+    """The summand-mask pool lists the same terms, in the same order, as
+    the pool built term by term: the ceiling reads its length."""
+
+    @pytest.mark.parametrize("seed", [17, 61])
+    def test_generated_problems(self, seed):
+        cfg = GenConfig(seed=seed)
+        for i in range(400):
+            problems = gen_problem(cfg, i)
+            for th in (Theory.COMBINED, Theory.ACUN):
+                assert _candidate_pool(problems, th) == pool_reference(problems, th), (i, th)
+
+    def test_pure_xor_problems(self):
+        for problems in pure_xor_sets(5, 200):
+            assert _candidate_pool(problems, Theory.ACUN) == \
+                pool_reference(problems, Theory.ACUN), problems
 
 
 class TestFreeUnifiable:
