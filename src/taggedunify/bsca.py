@@ -72,6 +72,7 @@ from .terms import (
     side_of,
     vars_of,
 )
+from .textfmt import _CALLS
 from .unify import Substitution, resolve, unify_std
 
 
@@ -139,8 +140,13 @@ def _fresh_var(taken: set[str]) -> str:
 
 
 def _fresh_const(var_name: str, taken: set[str]) -> str:
-    """The first of ``var_name`` lowercased, then numbered, not taken."""
+    """The first of ``var_name`` lowercased, then numbered, not taken.  A
+    lowercased name that would not parse back as a constant, one with a
+    leading underscore or a reserved call name such as ``pk``, is first
+    prefixed with ``c``."""
     base = var_name.lower()
+    if base.startswith("_") or base in _CALLS:
+        base = "c" + base
     return fresh_name(chain((base,), map(f"{base}{{}}".format, count(1))), taken)
 
 

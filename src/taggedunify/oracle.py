@@ -94,17 +94,17 @@ class GenConfig(Frozen):
     The same seed always produces the same sample stream.
     """
 
-    max_depth: int = 3
-    seed: int = 0
-    samples: int = 100
-    oracle_ceiling: int = 400_000
+    __slots__ = ("max_depth", "seed", "samples", "oracle_ceiling")
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self, max_depth: int = 3, seed: int = 0, samples: int = 100, oracle_ceiling: int = 400_000
+    ) -> None:
+        for name, value in zip(self.__slots__, (max_depth, seed, samples, oracle_ceiling)):
+            object.__setattr__(self, name, value)  # past the frozen __setattr__
         for name in ("max_depth", "samples", "oracle_ceiling"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be >= 0")
 
 
@@ -284,7 +284,12 @@ def _clashes(p: Problem) -> bool:
     )
 
 
-def _candidate_pool(problems: Sequence[Problem], theory: Theory) -> list[Term]:
+def _candidate_pool(
+    problems: Sequence[Problem], theory: Theory
+) -> tuple[list[Term], list[int], dict[Term, int]]:
+    """The candidate ground terms, and in an xor theory each one's summand
+    mask under the returned numbering of summands (no masks in a syntactic
+    theory)."""
     taken = set().union(*(const_names_of(s) for p in problems for s in (p.lhs, p.rhs)))
     spare = Const(fresh_name((f"u{n}" for n in count()), taken))
     sides = [s for p in problems for s in (p.lhs, p.rhs)]
@@ -296,7 +301,7 @@ def _candidate_pool(problems: Sequence[Problem], theory: Theory) -> list[Term]:
 
     base = chain((spare, ZERO), (ground(s) for s in subs if not isinstance(s, Var)))
     if theory.syntactic:
-        return list(dict.fromkeys(base))
+        return list(dict.fromkeys(base)), [], {}
     # xor values a variable can need are combinations of terms standing in
     # summand position somewhere; a cancellation chain across one problem
     # touches at most (width - 1) + width summands.  A term standing
@@ -317,14 +322,16 @@ def _candidate_pool(problems: Sequence[Problem], theory: Theory) -> list[Term]:
     bits = {u: 1 << i for i, u in enumerate(summand_at)}
     masks = [summand_mask(t, bits) for t in combo_base]
     pool = list(dict.fromkeys(base))
-    seen = {summand_mask(t, bits) for t in pool}
+    pool_masks = [summand_mask(t, bits) for t in pool]
+    seen = set(pool_masks)
     for size in range(2, 2 * MAX_XOR_WIDTH):
         for combo in combinations(masks, size):
             mask = reduce(xor, combo)
             if mask not in seen:
                 seen.add(mask)
                 pool.append(xor_of([u for i, u in enumerate(summand_at) if mask >> i & 1]))
-    return pool
+                pool_masks.append(mask)
+    return pool, pool_masks, bits
 
 
 def _components(problems: list[Problem]) -> list[tuple[list[str], list[Problem]]]:
@@ -459,7 +466,7 @@ def ground_unifiable(
     names = sorted(problem_vars(probs))
     if not names:
         return all(equal_mod(p.lhs, p.rhs, theory) for p in probs)
-    pool = _candidate_pool(probs, theory)
+    pool, masks, bits = _candidate_pool(probs, theory)
     total = len(pool) ** len(names)
     if total > cfg.oracle_ceiling:
         raise BoundExceeded(
@@ -468,8 +475,6 @@ def ground_unifiable(
         )
     if any(_clashes(p) for p in probs):
         return False
-    bits: dict[Term, int] = {}
-    masks = [] if theory.syntactic else [summand_mask(t, bits) for t in pool]
     return all(
         _has_witness(vs, ps, pool, theory, masks, bits) for vs, ps in _components(probs)
     )

@@ -29,54 +29,69 @@ class Record:
     """Base of the package's value classes: terms, problems, configurations
     and reports.
 
-    A record's fields are its ``__slots__`` when it has them (the term
-    constructors and :class:`Problem`, which write their own constructors),
-    otherwise its annotations in order, with the class-level values as
-    defaults; this base's constructor takes those fields by position or
-    keyword and gives each instance its own copy of a list or dict default.
-    Records of one class are equal when their fields are, a record's
+    A record's fields are its ``__slots__`` when it has them, otherwise its
+    annotations in order, with the class-level values as defaults.  Each
+    class gets its own constructor, which takes the fields by position or
+    keyword and gives each instance its own copy of a list or dict default,
+    and its own ``==``, true for records of one class whose fields are
+    equal; a :class:`Frozen` class also gets its own hash, the hash of its
+    fields' tuple.  They are written per class from its fields, because
+    shared generic ones cost up to half again as much per node, and hashing
+    and comparing terms is hot in the solvers' caches and the oracle's sets.
+    A class that writes one of these methods itself keeps it.  A record's
     ``repr`` is ``Name(field=value, ...)`` and :meth:`replace` copies it
     with some fields changed.  A record is mutable and unhashable; a
     :class:`Frozen` one is neither.
     """
 
     __slots__ = ()
+    __hash__ = None  # a mutable record is unhashable; each Frozen class gets its own
     _fields: tuple[str, ...]
-    _defaults: dict[str, object]
-    _values: Callable[[Record], object]  # the field values, a bare one if single
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         if "__slots__" in own:
-            cls._fields, cls._defaults = tuple(own["__slots__"]), {}
+            cls._fields, defaults = tuple(own["__slots__"]), {}
         else:
             cls._fields = tuple(cls.__annotations__)
-            cls._defaults = {name: own[name] for name in cls._fields if name in own}
-        cls._values = attrgetter(*cls._fields) if cls._fields else staticmethod(lambda r: ())
-
-    def __init__(self, *args, **kwargs) -> None:
-        cls = type(self)
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments")
-        values = dict(zip(cls._fields, args))
-        for name, value in kwargs.items():
-            if name in values or name not in cls._fields:
-                raise TypeError(f"{cls.__name__}() got a repeated or unknown argument {name!r}")
-            values[name] = value
+            defaults = {name: own[name] for name in cls._fields if name in own}
+        params, body = ["self"], []
         for name in cls._fields:
-            if name not in values:
-                if name not in cls._defaults:
-                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-                value = cls._defaults[name]
-                values[name] = value.copy() if isinstance(value, (list, dict)) else value
-            _set(self, name, values[name])
+            value = name
+            if name not in defaults:
+                params.append(name)
+            else:
+                params.append(f"{name}=_defaults[{name!r}]")
+                if isinstance(defaults[name], (list, dict)):  # each instance its own copy
+                    value = f"{name}.copy() if {name} is _defaults[{name!r}] else {name}"
+            body.append(f"_set(self, {name!r}, {value})")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            values = self._values
-            return values(self) == values(other)
-        return NotImplemented
+        def values(of: str) -> str:
+            return "(" + "".join(f"{of}.{name}, " for name in cls._fields) + ")"
+
+        # the source holds only the class's own field names; values reach
+        # it through the namespace
+        source = "\n".join([
+            f"def __init__({', '.join(params)}):",
+            *(f"    {line}" for line in body or ["pass"]),
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return {values('self')} == {values('other')}",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash({values('self')})",
+        ])
+        # compiled per class, never shared: the interpreter's attribute
+        # caches in a code object serve one class best
+        namespace = {"_set": _set, "_defaults": defaults}
+        exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
+        frozen = cls.__setattr__ is not _set  # Frozen and its subclasses
+        for name in ("__init__", "__eq__", "__hash__") if frozen else ("__init__", "__eq__"):
+            if name not in own:
+                method = namespace[name]
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, method)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -98,9 +113,6 @@ class Frozen(Record):
 
     __slots__ = ()
 
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -109,13 +121,7 @@ class Frozen(Record):
 
 
 class Term(Frozen):
-    """Base class for all term constructors.
-
-    Each constructor writes its own ``__eq__`` and ``__hash__`` with the
-    same meaning as the base's: the shared ones cost up to half again as
-    much per node, and hashing and comparing terms is hot in the solvers'
-    caches and the oracle's sets.
-    """
+    """Base class for all term constructors."""
 
     __slots__ = ()
 
@@ -123,31 +129,9 @@ class Term(Frozen):
 class Var(Term):
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
 
 class Const(Term):
     __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 class TagConst(Term):
@@ -167,26 +151,12 @@ class TagConst(Term):
         if any(part < 1 for part in path):
             raise ValueError("tag path components must be positive integers")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.path,) == (other.path,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.path,))
-
 
 class Zero(Term):
     """The xor unity element.  A dedicated constructor, not a constant named
     ``0``, so unity checks cannot be spoofed by a user-defined constant."""
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 ZERO = Zero()
@@ -200,31 +170,11 @@ class Seq(Term):
         if not items:
             raise ValueError("sequence must be nonempty")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.items,) == (other.items,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.items,))
-
 
 class Penc(Term):
     """Public-key encryption of ``body`` under ``key``."""
 
     __slots__ = ("body", "key")
-
-    def __init__(self, body: Term, key: Term) -> None:
-        _set(self, "body", body)
-        _set(self, "key", key)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.body, self.key) == (other.body, other.key)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.body, self.key))
 
 
 class Senc(Term):
@@ -232,48 +182,13 @@ class Senc(Term):
 
     __slots__ = ("body", "key")
 
-    def __init__(self, body: Term, key: Term) -> None:
-        _set(self, "body", body)
-        _set(self, "key", key)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.body, self.key) == (other.body, other.key)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.body, self.key))
-
 
 class Pk(Term):
     __slots__ = ("agent",)
 
-    def __init__(self, agent: Term) -> None:
-        _set(self, "agent", agent)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.agent,) == (other.agent,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.agent,))
-
 
 class Sh(Term):
     __slots__ = ("a", "b")
-
-    def __init__(self, a: Term, b: Term) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.a, self.b) == (other.a, other.b)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
 
 
 class Xor(Term):
@@ -286,14 +201,6 @@ class Xor(Term):
         _set(self, "items", items)
         if len(items) < 2:
             raise ValueError("xor needs at least two summands")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.items,) == (other.items,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.items,))
 
 
 STD = "std"
@@ -557,10 +464,6 @@ class Problem(Frozen):
     whatever theory the caller is working in."""
 
     __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Term, rhs: Term) -> None:
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
 
 
 def problem_vars(problems: Iterable[Problem]) -> frozenset[str]:

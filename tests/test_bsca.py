@@ -273,11 +273,17 @@ class TestSolveSystems:
         assert attempts[0].sigma2 == Substitution()
 
     def test_fresh_constants_avoid_existing_names(self):
-        g41 = [prob("Y", "[1, w]")]
-        g42 = [prob("W", "xor(Y, a)")]
-        for att in solve_systems(g41, g42):
-            for const in att.beta.values():
-                assert const != "w"
+        # each fresh constant is new and parses back as that constant, also
+        # for a variable whose lowercased name reads as a variable or a call
+        for var in ("Y", "_Q", "PK"):
+            g41 = [prob(var, "[1, w]")]
+            g42 = [prob("W", f"xor({var}, a)")]
+            for att in solve_systems(g41, g42):
+                for const in att.beta.values():
+                    assert const != "w" and parse_term(const) == Const(const)
+        got = [_fresh_const(v, set()) for v in ("Y", "N_B", "SEQ", "_Q", "_", "PK", "XOR")]
+        assert got == ["y", "n_b", "seq", "c_q", "c_", "cpk", "cxor"]
+        assert _fresh_const("PK", {"cpk"}) == "cpk1"
 
 
 class TestCombineUnifiers:

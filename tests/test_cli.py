@@ -318,6 +318,10 @@ class TestProveTheorem:
         assert code == 0
         assert "counterexamples" in out
 
+    def test_bad_sample_count_exits_2(self, capsys):
+        code, out, err = run(capsys, "prove-theorem", "--samples", "0")
+        assert (code, out, err) == (2, "", "error: samples must be >= 1\n")
+
 
 class TestParse:
     def test_round_trip(self, capsys, monkeypatch):

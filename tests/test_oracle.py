@@ -45,6 +45,7 @@ from taggedunify.terms import (
     problem_vars,
     sort_key,
     subterms_of_set,
+    summand_mask,
     vars_of,
     xor_of,
 )
@@ -86,7 +87,7 @@ def product_reference(problems, theory):
     names = sorted(problem_vars(problems))
     if not names:
         return all(equal_mod(p.lhs, p.rhs, theory) for p in problems)
-    for values in product(_candidate_pool(problems, theory), repeat=len(names)):
+    for values in product(_candidate_pool(problems, theory)[0], repeat=len(names)):
         sigma = Substitution(dict(zip(names, values)))
         if all(equal_mod(sigma.apply(p.lhs), sigma.apply(p.rhs), theory) for p in problems):
             return True
@@ -186,6 +187,21 @@ class TestFixedPositionClash:
                 ground_unifiable(problems, th, GenConfig(oracle_ceiling=1))
 
 
+class TestGenConfig:
+    @pytest.mark.parametrize("field", ["max_depth", "samples", "oracle_ceiling"])
+    def test_bounds_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            GenConfig(**{field: 0})
+        assert getattr(GenConfig(**{field: 1}), field) == 1
+
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            GenConfig(seed=-1)
+        assert GenConfig(3, 0) == GenConfig(seed=0) != GenConfig(seed=1)
+        with pytest.raises(TypeError, match=r"^GenConfig\.__init__\(\) got an unexpected"):
+            GenConfig(depth=3)
+
+
 class TestGroundUnifiableReference:
     def test_generated_problems_match_product_search(self):
         cfg = GenConfig(seed=17)
@@ -203,6 +219,19 @@ class TestGroundUnifiableReference:
         for problems in pure_xor_sets(17, 100):
             assert ground_unifiable(problems, Theory.ACUN, cfg) == \
                 product_reference(problems, Theory.ACUN), problems
+
+    def test_pool_masks_are_the_summand_masks(self):
+        # the search reuses the pool's masks and numbering: each is the
+        # term's summand mask under that numbering, and they are distinct
+        cfg = GenConfig(seed=61)
+        sets = [gen_problem(cfg, i) for i in range(200)] + pure_xor_sets(5, 100)
+        for problems in sets:
+            for th in (Theory.COMBINED, Theory.ACUN):
+                pool, masks, bits = _candidate_pool(problems, th)
+                numbering = dict(bits)
+                assert masks == [summand_mask(t, numbering) for t in pool], problems
+                assert numbering == bits and len(set(masks)) == len(pool), problems
+            assert _candidate_pool(problems, Theory.FREE_XOR)[1:] == ([], {})
 
     @pytest.mark.parametrize("pairs, unifiable, on_masks", [
         # one component of two problems that share X: X = a + b, so Y = b
@@ -250,11 +279,11 @@ class TestCandidatePoolReference:
         for i in range(400):
             problems = gen_problem(cfg, i)
             for th in (Theory.COMBINED, Theory.ACUN):
-                assert _candidate_pool(problems, th) == pool_reference(problems, th), (i, th)
+                assert _candidate_pool(problems, th)[0] == pool_reference(problems, th), (i, th)
 
     def test_pure_xor_problems(self):
         for problems in pure_xor_sets(5, 200):
-            assert _candidate_pool(problems, Theory.ACUN) == \
+            assert _candidate_pool(problems, Theory.ACUN)[0] == \
                 pool_reference(problems, Theory.ACUN), problems
 
 

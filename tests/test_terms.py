@@ -359,5 +359,5 @@ class TestValueSemantics:
         assert Penc(key=x, body=a) == Penc(a, x)
         assert Penc(a, x).replace(key=a) == Penc(a, a)
         assert Problem(a, x).replace(rhs=a) == Problem(a, a)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^Penc\.__init__\(\) got an unexpected keyword"):
             Penc(a, x).replace(agent=a)

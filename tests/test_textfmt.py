@@ -210,12 +210,32 @@ class TestRecords:
         with pytest.raises(AttributeError):
             cfg.prune = False
         assert pickle.loads(pickle.dumps(cfg)) == cfg
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^BscaConfig\.__init__\(\) got an unexpected "
+                           "keyword argument 'full_identification'$"):
             BscaConfig(full_identification=True)
         with pytest.raises(TypeError):
             BscaConfig(1, 2, True, True, True, True)
         with pytest.raises(TypeError):
             BscaConfig(1, max_partition_vars=2)
+
+    def test_each_class_writes_its_own_methods(self):
+        import taggedunify.oracle  # noqa: F401  (loads every module that defines records)
+        from taggedunify.terms import Frozen, Record
+
+        classes, todo = set(), [Record]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                classes.add(sub)
+                todo.append(sub)
+        assert len(classes) >= 27
+        for cls in classes:
+            own = vars(cls)
+            assert "__init__" in own and "__eq__" in own, cls
+            assert ("__hash__" in own) == issubclass(cls, Frozen), cls
+            assert own["__eq__"].__qualname__ == f"{cls.__qualname__}.__eq__"
+        # the base writes none of them, and a mutable record is unhashable
+        assert "__init__" not in vars(Record) and "__eq__" not in vars(Record)
+        assert Record.__hash__ is None
 
     def test_mutable_report(self):
         from taggedunify.bsca import CombinedResult
@@ -227,7 +247,7 @@ class TestRecords:
         assert repr(a) == "CombinedResult(unifiers=[Substitution({})], traces=[None])"
         with pytest.raises(TypeError):
             hash(b)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^CombinedResult\.__init__\(\) missing"):
             CombinedResult()
 
     def test_jsonable_dnut_report(self):
