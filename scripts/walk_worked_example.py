@@ -40,15 +40,18 @@ def main() -> None:
     print("\nstep 3, two variable identifications of interest:")
     exhibited = (("A",), ("B",), ("N_B",), ("W",), ("X",), ("Y", "Z"))
     succeeding = (("A",), ("B",), ("N_B",), ("W", "X"), ("Y", "Z"))
-    # the xor half of the per-partition precheck, decided on one GF(2)
-    # system before a partition's problem set is built
-    keep = xor_precheck(gamma1)
+    # the xor half of the per-partition precheck, one GF(2) system extended
+    # at each variable's assignment; the enumeration cuts a partition's
+    # subtree at the first assignment that makes it inconsistent
+    bound = xor_precheck(gamma1)
     for target in (exhibited, succeeding):
         for partition, gamma3 in variable_identifications(gamma1):
             if partition != target:
                 continue
             print(f"\n  partition {partition}:")
-            print(f"  xor precheck: {'passes' if keep(partition) else 'fails'}")
+            cut = bound.cut_at(partition)
+            verdict = "passes" if cut is None else f"fails, subtree cut at {cut}"
+            print(f"  xor precheck: {verdict}")
             g41, g42 = split_problems(gamma3)
             show("  standard problems", g41)
             show("  xor problems", g42)

@@ -79,14 +79,19 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def forward_eliminate(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
-    """Gaussian forward elimination of ``(var_mask, atom_mask)`` rows.
+Pivots = dict[int, tuple[int, int]]
+
+
+def forward_eliminate(rows: Iterable[tuple[int, int]], pivots: Pivots = {}) -> Pivots | None:
+    """Gaussian forward elimination of ``(var_mask, atom_mask)`` rows,
+    continuing from the pivot rows of an earlier elimination, which are
+    copied, never changed.
 
     Returns the pivot rows keyed by their pivot column (the lowest set bit
     of the row's var mask), or None when some row reduces to no variables
     but a nonzero atom mask: the system is then inconsistent.
     """
-    pivots: dict[int, tuple[int, int]] = {}
+    pivots = dict(pivots)
     for vm, am in rows:
         for j, (pvm, pam) in pivots.items():
             if vm >> j & 1:

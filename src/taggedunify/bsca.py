@@ -33,14 +33,26 @@ only branches that provably cannot succeed:
   and the standard part as it stands, are solved before any split is
   enumerated.  Every split's grounded sets are instances of these, up to
   renaming the fresh constants, so a failure here fails every split.  The
-  xor half is decided before the partition's problem set is built, on the
-  GF(2) system of the purified xor part, built once per call: identifying
-  a block adds its variables' columns into one, and grounding a block
-  moves that column to a fresh atom of its own.  This is the system of the
-  grounded xor part, because renaming variables into one another commutes
-  with the parity normal form, a fresh constant is an atom independent of
-  every other atom, and the duplicate problems identification leaves
-  behind repeat rows, which never change consistency.  Only partitions
+  xor half is decided during the enumeration of identifications, on the
+  GF(2) system of the purified xor part, eliminated once per call.
+  Assigning a variable ``v`` to a block ``B`` adds the row
+  ``v + anchor(B) = 0``, where ``anchor(B)`` is the column of ``B``'s
+  first member that has one, and a block that holds a variable with a
+  standard definition adds ``anchor(B) = a_B``, a fresh atom of its own.
+  At a complete partition this is the system of the grounded xor part,
+  because renaming variables into one another commutes with the parity
+  normal form, a fresh constant is an atom independent of every other
+  atom, and the duplicate problems identification leaves behind repeat
+  rows, which never change consistency.  Before that, the unassigned
+  variables stay free columns, and every later assignment only adds rows:
+  a variable joins a block, or a block is grounded.  So when a partial
+  partition's system is inconsistent, so is that of every partition
+  below it, and the assignment's whole subtree is cut.  The
+  identification compatibility of the first rule is tested only for
+  assignments that pass: each of the two tests cuts a subtree on its
+  own, so testing one first cuts the same subtrees and yields the same
+  partitions, in the same order, as testing both, and saves only the
+  standard-theory solves of merges the xor half cuts.  Only partitions
   that pass are built and split, and only they have their standard part
   solved.
 """
@@ -48,9 +60,9 @@ only branches that provably cannot succeed:
 from __future__ import annotations
 
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
-from .acun import build_gf2_system, forward_eliminate, unify_acun
+from .acun import Pivots, build_gf2_system, forward_eliminate, unify_acun
 from .terms import (
     XOR,
     Const,
@@ -239,60 +251,90 @@ def _std_definitions(problems: Iterable[Problem]) -> dict[str, list[Term]]:
 Partition = tuple[tuple[str, ...], ...]
 
 
-def xor_precheck(problems: Iterable[Problem]) -> Callable[[Partition], bool] | None:
-    """The xor halves of the pure-part and per-partition prechecks, read
-    off one GF(2) system of the xor part of the purified set ``problems``.
+class XorBound(Record):
+    """The xor half of the per-partition precheck as a bound on the partial
+    partitions of :func:`variable_identifications`: the GF(2) system of the
+    xor part of a purified problem set, eliminated once, which each
+    assignment of a variable to a block extends.
 
+    ``pivots`` are the eliminated rows of that system, ``column`` each xor
+    variable's column bit and ``grounded`` the variables with a standard
+    definition; block ``j``'s fresh atom is the bit ``atom << j``.
+    """
+
+    pivots: Pivots
+    column: dict[str, int]
+    grounded: AbstractSet[str]
+    atom: int
+
+    def extend(self, pivots: Pivots, block: list[str], v: str, j: int) -> Pivots | None:
+        """The pivots after ``v`` joins block ``j``, which holds ``block``
+        (empty for a new block), or None when the system is inconsistent.
+
+        The block's anchor is the column of its first member that has one.
+        ``v`` adds ``v + anchor = 0``, and ``anchor = a_j`` once the block
+        has both an anchor and a member with a standard definition.
+        """
+        column, grounded = self.column, self.grounded
+        col = column.get(v, 0)
+        anchor = next((column[u] for u in block if u in column), 0)
+        was_grounded = not grounded.isdisjoint(block)
+        rows = []
+        if col and anchor:
+            rows.append((col | anchor, 0))
+        now_anchor, now_grounded = anchor or col, was_grounded or v in grounded
+        if now_anchor and now_grounded and not (anchor and was_grounded):
+            rows.append((now_anchor, self.atom << j))
+        return forward_eliminate(rows, pivots) if rows else pivots
+
+    def cut_at(self, partition: Partition) -> str | None:
+        """The variable at whose assignment :func:`variable_identifications`
+        cuts the subtree holding ``partition`` on this bound, or None when
+        the partition passes it."""
+        pivots = self.pivots
+        block_of = {v: j for j, b in enumerate(partition) for v in b}
+        for v in sorted(block_of):
+            j = block_of[v]
+            pivots = self.extend(pivots, [u for u in partition[j] if u < v], v, j)
+            if pivots is None:
+                return v
+        return None
+
+
+def xor_precheck(problems: Iterable[Problem]) -> XorBound | None:
+    """The xor halves of the pure-part and per-partition prechecks, read
+    off one GF(2) system of the xor part of the purified set ``problems``:
     None when that system is inconsistent as it stands (the pure-part
-    precheck).  Otherwise the per-partition test: a partition passes when
-    the system stays consistent after each block's columns are added into
-    one, and the column of each block holding a variable with a standard
-    definition is moved to a fresh atom of its own.
+    precheck), otherwise its :class:`XorBound`.
     """
     std, xor = split_problems(problems)
     system = build_gf2_system(xor)
-    if forward_eliminate(system.rows) is None:
+    pivots = forward_eliminate(system.rows)
+    if pivots is None:
         return None
-    defined = _std_definitions(std).keys()
     column = {v: 1 << i for i, v in enumerate(system.variables)}
-    fresh_atom = 1 << len(system.atoms)
-
-    def may_unify(partition: Partition) -> bool:
-        moves = []  # (the block's columns, its new var bit, its new atom bit)
-        for j, block in enumerate(partition):
-            cols = sum(column.get(v, 0) for v in block)  # distinct bits: their union
-            if cols and defined.isdisjoint(block):
-                moves.append((cols, 1 << j, 0))
-            elif cols:
-                moves.append((cols, 0, fresh_atom << j))
-        rows = []
-        for vm, am in system.rows:
-            new_vm = 0
-            for cols, var_bit, atom_bit in moves:
-                if (vm & cols).bit_count() & 1:
-                    new_vm ^= var_bit
-                    am ^= atom_bit
-            rows.append((new_vm, am))
-        return forward_eliminate(rows) is not None
-
-    return may_unify
+    return XorBound(pivots, column, _std_definitions(std).keys(), 1 << len(system.atoms))
 
 
 def variable_identifications(
     problems: Iterable[Problem],
     cfg: BscaConfig = BscaConfig(),
-    keep: Callable[[Partition], bool] | None = None,
+    bound: XorBound | None = None,
 ) -> Iterator[tuple[Partition, list[Problem]]]:
     """Step 3: enumerate partitions of the variables; for each, yield the
-    partition and the problem set with every variable replaced by its
-    class representative (the lexicographically least name).
+    partition (sorted blocks of sorted names, singletons included) and the
+    problem set with every variable replaced by its class representative
+    (the lexicographically least name).
 
-    Under ``cfg.first_only`` only variables of :func:`split_problems`' xor
-    side may share a block, the rest staying singletons.  ``keep``, when
-    given, sees each compatible partition (sorted blocks of sorted names,
-    singletons included) before its problem set is built; a partition it
-    rejects is skipped without one.  Raises :class:`ChoiceSpaceExceeded` when
-    more variables than ``cfg.max_partition_vars`` would need enumerating.
+    The partitions are built by assigning the variables in sorted order,
+    each to an existing block or to a new one.  Under ``cfg.first_only``
+    only variables of :func:`split_problems`' xor side are assigned, the
+    rest staying singletons.  ``bound``, the :func:`xor_precheck` of the
+    same problems, is extended at each assignment, and an assignment that
+    makes it inconsistent is cut with its whole subtree, before the
+    compatibility of its merge is tested.  Raises
+    :class:`ChoiceSpaceExceeded` when more variables than
+    ``cfg.max_partition_vars`` would need enumerating.
     """
     probs = list(problems)
     all_vars = sorted(problem_vars(probs))
@@ -321,25 +363,31 @@ def variable_identifications(
             )
         return compat_cache[key]
 
-    def assignments(i: int, blocks: list[list[str]]) -> Iterator[list[list[str]]]:
+    # the singletons outside the scope hold no xor variable, so no rows
+    extend = bound.extend if bound is not None else lambda pivots, *_: pivots
+
+    def assignments(
+        i: int, blocks: list[list[str]], pivots: Pivots
+    ) -> Iterator[list[list[str]]]:
         if i == len(enum_vars):
             yield [list(b) for b in blocks]
             return
         v = enum_vars[i]
-        for b in blocks:
-            if all(compatible(v, u) for u in b):
+        for j, b in enumerate(blocks):
+            node = extend(pivots, b, v, j)
+            if node is not None and all(compatible(v, u) for u in b):
                 b.append(v)
-                yield from assignments(i + 1, blocks)
+                yield from assignments(i + 1, blocks, node)
                 b.pop()
-        blocks.append([v])
-        yield from assignments(i + 1, blocks)
-        blocks.pop()
+        node = extend(pivots, [], v, len(blocks))
+        if node is not None:
+            blocks.append([v])
+            yield from assignments(i + 1, blocks, node)
+            blocks.pop()
 
     singles = [[v] for v in all_vars if v not in scope]
-    for blocks in assignments(0, []):
+    for blocks in assignments(0, [], bound.pivots if bound is not None else {}):
         partition = tuple(sorted(tuple(sorted(b)) for b in blocks + singles))
-        if keep is not None and not keep(partition):
-            continue
         rep = {v: b[0] for b in partition for v in b}
         sub = Substitution({v: Var(r) for v, r in rep.items() if v != r})
         gamma3 = list(dict.fromkeys(map(sub.apply_problem, probs)))
@@ -513,15 +561,15 @@ def unify_combined(
             raise AssertionError(f"cross-theory problem after purification: {p!r}")
     unifiers: list[Substitution] = []
     traces: list[BscaTrace] = []
-    keep = None
+    bound = None
     if cfg.prune:
-        keep = xor_precheck(gamma2)
-        if keep is None or unify_std(split_problems(gamma2)[0]) is None:
+        bound = xor_precheck(gamma2)
+        if bound is None or unify_std(split_problems(gamma2)[0]) is None:
             return CombinedResult(unifiers, traces)
 
     seen: set = set()
     branches = 0
-    for partition, gamma3 in variable_identifications(gamma2, cfg, keep):
+    for partition, gamma3 in variable_identifications(gamma2, cfg, bound):
         rep = {v: b[0] for b in partition for v in b}
         g41, g42 = split_problems(gamma3)
         if cfg.prune and unify_std(g41) is None:

@@ -383,45 +383,46 @@ class TestUnifyCombined:
     def test_pruning_changes_no_outcomes(self, monkeypatch):
         # counts how often each precheck fires, so the agreement below is
         # known to cover the pure-part precheck and both halves of the
-        # per-partition one: the xor half rejects a partition before it is
-        # yielded, the standard half a yielded partition before its splits
+        # per-partition one: the xor half cuts a subtree at an assignment
+        # of the enumeration, the standard half a yielded partition before
+        # its splits
         import taggedunify.bsca as bsca
 
         counts = {}
         real_identifications, real_solve = bsca.variable_identifications, bsca.solve_systems
+        real_extend = bsca.XorBound.extend
 
-        def identifications(problems, cfg, keep):
+        def identifications(problems, cfg, bound):
             counts["identified"] = True
-
-            def counted_keep(partition):
-                passed = keep(partition)
-                counts["xor_rejected"] += not passed
-                return passed
-
-            counted = None if keep is None else counted_keep
-            for item in real_identifications(problems, cfg, counted):
+            for item in real_identifications(problems, cfg, bound):
                 counts["partitions"] += 1
                 yield item
+
+        def extend(self, *args):
+            pivots = real_extend(self, *args)
+            counts["xor_cut"] += pivots is None
+            return pivots
 
         def solve(*args, **kwargs):
             counts["solved"] += 1
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(bsca, "variable_identifications", identifications)
+        monkeypatch.setattr(bsca.XorBound, "extend", extend)
         monkeypatch.setattr(bsca, "solve_systems", solve)
-        pure_fired = xor_rejected = std_rejected = 0
+        pure_fired = xor_cut = std_rejected = 0
         for i in range(40):
             problems = gen_problem(GenConfig(seed=13), i)
             if len(problem_vars(problems)) > 6:
                 continue
-            counts.update(identified=False, xor_rejected=0, partitions=0, solved=0)
+            counts.update(identified=False, xor_cut=0, partitions=0, solved=0)
             fast = unify_combined(problems, BscaConfig(keep_traces=False))
             pure_fired += not counts["identified"]
-            xor_rejected += counts["xor_rejected"]
+            xor_cut += counts["xor_cut"]
             std_rejected += counts["partitions"] - counts["solved"]
             slow = unify_combined(problems, BscaConfig(prune=False, keep_traces=False))
             assert bool(fast.unifiers) == bool(slow.unifiers)
-        assert pure_fired >= 1 and xor_rejected >= 1 and std_rejected >= 1
+        assert pure_fired >= 1 and xor_cut >= 1 and std_rejected >= 1
 
 
 class TestPrechecks:
@@ -471,6 +472,26 @@ class TestPrechecks:
         assert counts["unify_acun"] <= 3
         assert counts["split_problems"] <= counts["passed"] + 2
 
+    def test_harness_compatibility_runs_only_past_the_xor_bound(self, monkeypatch):
+        # merges are tested for compatibility only where the xor bound
+        # passes; testing every merge and the xor half only at the leaves
+        # made 2,003 unify_std calls on these 60 protocols
+        import taggedunify.bsca as bsca
+        from taggedunify.oracle import run_harness
+
+        calls = 0
+        real_std = bsca.unify_std
+
+        def std(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_std(*args, **kwargs)
+
+        monkeypatch.setattr(bsca, "unify_std", std)
+        report = run_harness(GenConfig(seed=20_260_809, samples=60))
+        assert (report.pairs_total, report.combined_unifiable_pairs) == (160, 3)
+        assert calls <= 1_200
+
     def test_rejected_partitions_have_no_successful_split(self):
         tried = {tr.var_id_partition for tr in unify_combined(worked_example()).traces}
         assert EXHIBITED_PARTITION not in tried and SUCCEEDING_PARTITION in tried
@@ -496,41 +517,57 @@ def _grounded_xor_verdict(gamma3, spare):
 
 
 class TestXorPrecheck:
-    """The bitmask precheck decides each partition as the grounded-term
-    precheck does, which it replaces; prune-on/off agreement is tested in
-    TestUnifyCombined."""
+    """The bound decides each partition as the grounded-term precheck does,
+    which it replaces, and cutting subtrees on it yields exactly the
+    partitions that a leaf-only test on terms keeps; prune-on/off agreement
+    is tested in TestUnifyCombined."""
 
     @staticmethod
     def inputs():
-        yield worked_example()
-        for seed in (1, 13, 61):
-            for i in range(40):
-                yield gen_problem(GenConfig(seed=seed), i)
-
-    def test_bitmask_verdict_matches_grounded_reference(self):
-        verdicts = {True: 0, False: 0}
-        for problems in self.inputs():
+        """Purified problem sets with at most 7 variables, each with its
+        bound and a spare constant per variable for the grounded reference."""
+        sets = [worked_example()]
+        sets += [gen_problem(GenConfig(seed=seed), i) for seed in (1, 13, 61) for i in range(40)]
+        for problems in sets:
             gamma2 = purify_problems(purify_terms(problems))
             if len(problem_vars(gamma2)) > 7:
                 continue
-            keep = xor_precheck(gamma2)
-            if keep is None:
+            bound = xor_precheck(gamma2)
+            if bound is None:
                 assert unify_acun(split_problems(gamma2)[1]) is None
                 continue
             taken = set().union(*(const_names_of(p.lhs) | const_names_of(p.rhs) for p in gamma2))
             spare = {v: Const(_fresh_const(v, taken)) for v in sorted(problem_vars(gamma2))}
+            yield gamma2, bound, spare
+
+    def test_bitmask_verdict_matches_grounded_reference(self):
+        verdicts = {True: 0, False: 0}
+        for gamma2, bound, spare in self.inputs():
             for cfg in (BscaConfig(), BscaConfig(first_only=True)):
                 for partition, gamma3 in variable_identifications(gamma2, cfg):
-                    verdict = keep(partition)
-                    assert verdict == _grounded_xor_verdict(gamma3, spare), (problems, partition)
+                    verdict = bound.cut_at(partition) is None
+                    assert verdict == _grounded_xor_verdict(gamma3, spare), (gamma2, partition)
                     verdicts[verdict] += 1
         assert verdicts[True] and verdicts[False]
 
+    def test_node_bound_yields_what_the_leaf_test_keeps(self):
+        cut = 0
+        for gamma2, bound, spare in self.inputs():
+            for cfg in (BscaConfig(), BscaConfig(first_only=True)):
+                unbounded = list(variable_identifications(gamma2, cfg))
+                leaf_only = [item for item in unbounded if _grounded_xor_verdict(item[1], spare)]
+                node_bounded = list(variable_identifications(gamma2, cfg, bound))
+                assert node_bounded == leaf_only, gamma2
+                cut += len(leaf_only) < len(unbounded)
+        assert cut
+
     def test_worked_example_partitions_of_interest(self):
-        keep = xor_precheck(purify_terms(worked_example()))
-        # the exhibited partition leaves w = x, two distinct constants
-        assert not keep(EXHIBITED_PARTITION)
-        assert keep(SUCCEEDING_PARTITION)
+        bound = xor_precheck(purify_terms(worked_example()))
+        # the exhibited partition leaves w = x, two distinct constants: with
+        # W, X and Y each grounded to an atom of its own, Z joining Y's
+        # block is the assignment that makes the system inconsistent
+        assert bound.cut_at(EXHIBITED_PARTITION) == "Z"
+        assert bound.cut_at(SUCCEEDING_PARTITION) is None
 
 
 class TestConservativity:
