@@ -6,12 +6,12 @@ Usage: python scripts/walk_worked_example.py
 """
 
 from taggedunify.bsca import (
+    node_bound,
     purify_terms,
     solve_systems,
     split_problems,
     unify_combined,
     variable_identifications,
-    xor_precheck,
 )
 from taggedunify.dnut import dnut_check, dnut_tag
 from taggedunify.terms import Problem, problem_vars
@@ -40,10 +40,10 @@ def main() -> None:
     print("\nstep 3, two variable identifications of interest:")
     exhibited = (("A",), ("B",), ("N_B",), ("W",), ("X",), ("Y", "Z"))
     succeeding = (("A",), ("B",), ("N_B",), ("W", "X"), ("Y", "Z"))
-    # the xor half of the per-partition precheck, one GF(2) system extended
-    # at each variable's assignment; the enumeration cuts a partition's
-    # subtree at the first assignment that makes it inconsistent
-    bound = xor_precheck(gamma1)
+    # the per-partition precheck, one GF(2) system and one set of standard
+    # bindings extended at each variable's assignment; the enumeration cuts
+    # a partition's subtree at the first assignment that makes either fail
+    bound = node_bound(gamma1)
     for target in (exhibited, succeeding):
         for partition, gamma3 in variable_identifications(gamma1):
             if partition != target:
@@ -51,7 +51,7 @@ def main() -> None:
             print(f"\n  partition {partition}:")
             cut = bound.cut_at(partition)
             verdict = "passes" if cut is None else f"fails, subtree cut at {cut}"
-            print(f"  xor precheck: {verdict}")
+            print(f"  precheck: {verdict}")
             g41, g42 = split_problems(gamma3)
             show("  standard problems", g41)
             show("  xor problems", g42)

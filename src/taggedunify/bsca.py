@@ -13,9 +13,6 @@ enumerated exhaustively up to configurable caps.
 Pruning (on by default, switchable off via :class:`BscaConfig`) discards
 only branches that provably cannot succeed:
 
-* two variables are identified only if their standard-theory definitions
-  (``V ~? t`` with ``t`` a non-variable) are pairwise unifiable; a failed
-  pair makes every extension fail;
 * a variable standing opposite a non-variable in a standard problem must
   keep its variable role there, since a fresh constant can never equal a
   proper term or a different atom;
@@ -32,29 +29,29 @@ only branches that provably cannot succeed:
   replaced by a fresh constant (such a variable is in V1 on every split),
   and the standard part as it stands, are solved before any split is
   enumerated.  Every split's grounded sets are instances of these, up to
-  renaming the fresh constants, so a failure here fails every split.  The
-  xor half is decided during the enumeration of identifications, on the
-  GF(2) system of the purified xor part, eliminated once per call.
-  Assigning a variable ``v`` to a block ``B`` adds the row
-  ``v + anchor(B) = 0``, where ``anchor(B)`` is the column of ``B``'s
-  first member that has one, and a block that holds a variable with a
-  standard definition adds ``anchor(B) = a_B``, a fresh atom of its own.
-  At a complete partition this is the system of the grounded xor part,
-  because renaming variables into one another commutes with the parity
-  normal form, a fresh constant is an atom independent of every other
-  atom, and the duplicate problems identification leaves behind repeat
-  rows, which never change consistency.  Before that, the unassigned
-  variables stay free columns, and every later assignment only adds rows:
-  a variable joins a block, or a block is grounded.  So when a partial
-  partition's system is inconsistent, so is that of every partition
-  below it, and the assignment's whole subtree is cut.  The
-  identification compatibility of the first rule is tested only for
-  assignments that pass: each of the two tests cuts a subtree on its
-  own, so testing one first cuts the same subtrees and yields the same
-  partitions, in the same order, as testing both, and saves only the
-  standard-theory solves of merges the xor half cuts.  Only partitions
-  that pass are built and split, and only they have their standard part
-  solved.
+  renaming the fresh constants, so a failure here fails every split.
+  Both halves are decided while identifications are enumerated, on one
+  :class:`NodeBound` per call: the solved states of the two purified
+  parts, built once, which each assignment of a variable to a block only
+  adds to.  So when a partial partition fails, every partition below it
+  fails, and its whole subtree is cut; only partitions that pass are built
+  and split.  The xor half is the GF(2) system of the xor part.  Assigning
+  ``v`` to a block ``B`` adds the row ``v + anchor(B) = 0``, where
+  ``anchor(B)`` is the column of ``B``'s first member that has one, and a
+  block that holds a variable with a standard definition adds
+  ``anchor(B) = a_B``, a fresh atom of its own.  At a complete partition
+  this is the system of the grounded xor part, because renaming variables
+  into one another commutes with the parity normal form, a fresh constant
+  is an atom independent of every other atom, and the duplicate problems
+  identification leaves behind repeat rows.  The standard half is the
+  triangular bindings of the standard part's mgu, and assigning ``v`` to a
+  non-empty block ``B`` adds the equation ``v = rep(B)``.  The standard
+  theory is syntactic, so solving on from an mgu's bindings decides the
+  extended set exactly; renaming variables into their representatives
+  equals adding these equations, since a unifier of them agrees with its
+  composition with the renaming; and renaming keeps each standard problem
+  on the standard side.  So at a complete partition the bindings are
+  consistent exactly when ``unify_std(g41)`` is not None.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ from .terms import (
     Term,
     Theory,
     Var,
-    Xor,
     acun_normal_form,
     const_names_of,
     equal_mod,
@@ -85,7 +81,7 @@ from .terms import (
     vars_of,
 )
 from .textfmt import _CALLS
-from .unify import Substitution, resolve, unify_std
+from .unify import Substitution, extend_bindings, resolve, unify_std
 
 
 class ChoiceSpaceExceeded(Exception):
@@ -235,46 +231,47 @@ def purify_problems(problems: Iterable[Problem]) -> list[Problem]:
 
 
 def _std_definitions(problems: Iterable[Problem]) -> dict[str, list[Term]]:
-    """Non-variable standard-theory terms each variable is directly equated to.
-
-    The unity element ``0`` is recorded too; the identification
-    compatibility test treats it as a constant, and a problem holding it
-    goes to the xor side, so it never reaches ``g41``."""
+    """Non-variable terms each variable of a standard part is directly
+    equated to."""
     defs: dict[str, list[Term]] = {}
     for p in problems:
         for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
-            if isinstance(a, Var) and not isinstance(b, (Var, Xor)):
+            if isinstance(a, Var) and not isinstance(b, Var):
                 defs.setdefault(a.name, []).append(b)
     return defs
 
 
 Partition = tuple[tuple[str, ...], ...]
+Node = tuple[Pivots, dict[str, Term]]
 
 
-class XorBound(Record):
-    """The xor half of the per-partition precheck as a bound on the partial
-    partitions of :func:`variable_identifications`: the GF(2) system of the
-    xor part of a purified problem set, eliminated once, which each
+class NodeBound(Record):
+    """The per-partition precheck as a bound on the partial partitions of
+    :func:`variable_identifications`: the solved states of the xor and the
+    standard part of a purified problem set, built once, which each
     assignment of a variable to a block extends.
 
-    ``pivots`` are the eliminated rows of that system, ``column`` each xor
-    variable's column bit and ``grounded`` the variables with a standard
-    definition; block ``j``'s fresh atom is the bit ``atom << j``.
+    ``root`` pairs the eliminated rows of the xor part's GF(2) system with
+    the triangular bindings of the standard part's unifier.  ``column`` is
+    each xor variable's column bit and ``grounded`` the variables with a
+    standard definition; block ``j``'s fresh atom is the bit ``atom << j``.
     """
 
-    pivots: Pivots
+    root: Node
     column: dict[str, int]
     grounded: AbstractSet[str]
     atom: int
 
-    def extend(self, pivots: Pivots, block: list[str], v: str, j: int) -> Pivots | None:
-        """The pivots after ``v`` joins block ``j``, which holds ``block``
-        (empty for a new block), or None when the system is inconsistent.
+    def extend(self, node: Node, block: list[str], v: str, j: int) -> Node | None:
+        """The node after ``v`` joins block ``j``, which holds ``block``
+        (empty for a new block), or None when either half is inconsistent.
 
         The block's anchor is the column of its first member that has one.
         ``v`` adds ``v + anchor = 0``, and ``anchor = a_j`` once the block
-        has both an anchor and a member with a standard definition.
+        has both an anchor and a member with a standard definition, to the
+        pivots, and ``v = block[0]`` to the bindings.
         """
+        pivots, bindings = node
         column, grounded = self.column, self.grounded
         col = column.get(v, 0)
         anchor = next((column[u] for u in block if u in column), 0)
@@ -285,41 +282,51 @@ class XorBound(Record):
         now_anchor, now_grounded = anchor or col, was_grounded or v in grounded
         if now_anchor and now_grounded and not (anchor and was_grounded):
             rows.append((now_anchor, self.atom << j))
-        return forward_eliminate(rows, pivots) if rows else pivots
+        if rows and (pivots := forward_eliminate(rows, pivots)) is None:
+            return None
+        if block:
+            bindings = extend_bindings([(Var(v), Var(block[0]))], bindings)
+        return None if bindings is None else (pivots, bindings)
 
     def cut_at(self, partition: Partition) -> str | None:
         """The variable at whose assignment :func:`variable_identifications`
         cuts the subtree holding ``partition`` on this bound, or None when
         the partition passes it."""
-        pivots = self.pivots
+        node: Node | None = self.root
         block_of = {v: j for j, b in enumerate(partition) for v in b}
         for v in sorted(block_of):
             j = block_of[v]
-            pivots = self.extend(pivots, [u for u in partition[j] if u < v], v, j)
-            if pivots is None:
+            node = self.extend(node, [u for u in partition[j] if u < v], v, j)
+            if node is None:
                 return v
         return None
 
 
-def xor_precheck(problems: Iterable[Problem]) -> XorBound | None:
-    """The xor halves of the pure-part and per-partition prechecks, read
-    off one GF(2) system of the xor part of the purified set ``problems``:
-    None when that system is inconsistent as it stands (the pure-part
-    precheck), otherwise its :class:`XorBound`.
+def node_bound(problems: Iterable[Problem]) -> NodeBound | None:
+    """The pure-part and per-partition prechecks of the purified set
+    ``problems``, read off the solved states of its two parts: None when
+    the GF(2) system of its xor part is inconsistent or its standard part
+    has no unifier (the pure-part precheck), otherwise the
+    :class:`NodeBound` rooted at those states.
     """
     std, xor = split_problems(problems)
     system = build_gf2_system(xor)
     pivots = forward_eliminate(system.rows)
     if pivots is None:
         return None
+    bindings = extend_bindings([(p.lhs, p.rhs) for p in std])
+    if bindings is None:
+        return None
     column = {v: 1 << i for i, v in enumerate(system.variables)}
-    return XorBound(pivots, column, _std_definitions(std).keys(), 1 << len(system.atoms))
+    return NodeBound(
+        (pivots, bindings), column, _std_definitions(std).keys(), 1 << len(system.atoms)
+    )
 
 
 def variable_identifications(
     problems: Iterable[Problem],
     cfg: BscaConfig = BscaConfig(),
-    bound: XorBound | None = None,
+    bound: NodeBound | None = None,
 ) -> Iterator[tuple[Partition, list[Problem]]]:
     """Step 3: enumerate partitions of the variables; for each, yield the
     partition (sorted blocks of sorted names, singletons included) and the
@@ -329,10 +336,9 @@ def variable_identifications(
     The partitions are built by assigning the variables in sorted order,
     each to an existing block or to a new one.  Under ``cfg.first_only``
     only variables of :func:`split_problems`' xor side are assigned, the
-    rest staying singletons.  ``bound``, the :func:`xor_precheck` of the
+    rest staying singletons.  ``bound``, the :func:`node_bound` of the
     same problems, is extended at each assignment, and an assignment that
-    makes it inconsistent is cut with its whole subtree, before the
-    compatibility of its merge is tested.  Raises
+    makes it inconsistent is cut with its whole subtree.  Raises
     :class:`ChoiceSpaceExceeded` when more variables than
     ``cfg.max_partition_vars`` would need enumerating.
     """
@@ -349,44 +355,28 @@ def variable_identifications(
             f"of {cfg.max_partition_vars}"
         )
 
-    defs = _std_definitions(probs) if cfg.prune else {}
-    compat_cache: dict[tuple[str, str], bool] = {}
+    # the singletons outside the scope hold no xor variable and join no block
+    extend = bound.extend if bound is not None else lambda node, *_: node
 
-    def compatible(u: str, v: str) -> bool:
-        du, dv = defs.get(u), defs.get(v)
-        if not du or not dv:
-            return True
-        key = (u, v) if u < v else (v, u)
-        if key not in compat_cache:
-            compat_cache[key] = all(
-                unify_std([Problem(s, t)]) is not None for s in du for t in dv
-            )
-        return compat_cache[key]
-
-    # the singletons outside the scope hold no xor variable, so no rows
-    extend = bound.extend if bound is not None else lambda pivots, *_: pivots
-
-    def assignments(
-        i: int, blocks: list[list[str]], pivots: Pivots
-    ) -> Iterator[list[list[str]]]:
+    def assignments(i: int, blocks: list[list[str]], node: Node) -> Iterator[list[list[str]]]:
         if i == len(enum_vars):
             yield [list(b) for b in blocks]
             return
         v = enum_vars[i]
         for j, b in enumerate(blocks):
-            node = extend(pivots, b, v, j)
-            if node is not None and all(compatible(v, u) for u in b):
+            child = extend(node, b, v, j)
+            if child is not None:
                 b.append(v)
-                yield from assignments(i + 1, blocks, node)
+                yield from assignments(i + 1, blocks, child)
                 b.pop()
-        node = extend(pivots, [], v, len(blocks))
-        if node is not None:
+        child = extend(node, [], v, len(blocks))
+        if child is not None:
             blocks.append([v])
-            yield from assignments(i + 1, blocks, node)
+            yield from assignments(i + 1, blocks, child)
             blocks.pop()
 
     singles = [[v] for v in all_vars if v not in scope]
-    for blocks in assignments(0, [], bound.pivots if bound is not None else {}):
+    for blocks in assignments(0, [], bound.root if bound is not None else ({}, {})):
         partition = tuple(sorted(tuple(sorted(b)) for b in blocks + singles))
         rep = {v: b[0] for b in partition for v in b}
         sub = Substitution({v: Var(r) for v, r in rep.items() if v != r})
@@ -563,8 +553,8 @@ def unify_combined(
     traces: list[BscaTrace] = []
     bound = None
     if cfg.prune:
-        bound = xor_precheck(gamma2)
-        if bound is None or unify_std(split_problems(gamma2)[0]) is None:
+        bound = node_bound(gamma2)
+        if bound is None:
             return CombinedResult(unifiers, traces)
 
     seen: set = set()
@@ -572,8 +562,6 @@ def unify_combined(
     for partition, gamma3 in variable_identifications(gamma2, cfg, bound):
         rep = {v: b[0] for b in partition for v in b}
         g41, g42 = split_problems(gamma3)
-        if cfg.prune and unify_std(g41) is None:
-            continue
         # the xor solver's parameters must not capture an input variable,
         # which identification may have merged out of g41 and g42
         for attempt in solve_systems(g41, g42, cfg, avoid=orig_vars):

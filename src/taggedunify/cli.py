@@ -149,19 +149,20 @@ def cmd_unify(args: argparse.Namespace) -> int:
         sigma = solver[theory](problems)
         unifiers, traces = ([] if sigma is None else [sigma]), []
     printed = [s for t in traces for s in (t.sigma1, t.sigma2, t.combined) if s is not None]
-    _check_output_size(unifiers + printed)
-
-    if args.format == "json":
-        for sigma in unifiers:
-            print(json.dumps({"unifier": substitution_to_jsonable(sigma)}, sort_keys=True))
-    else:
-        if unifiers:
-            for sigma in unifiers:
-                print(render_substitution(sigma))
+    # every line is rendered before any is printed, so a failure prints none
+    try:
+        _check_output_size(unifiers + printed)
+        if args.format == "json":
+            dicts = ({"unifier": substitution_to_jsonable(sigma)} for sigma in unifiers)
+            lines = [json.dumps(d, sort_keys=True) for d in dicts]
         else:
-            print("not unifiable")
-    for trace in traces:
-        print(json.dumps(jsonable(trace), sort_keys=True))
+            lines = [render_substitution(sigma) for sigma in unifiers] or ["not unifiable"]
+        lines += [json.dumps(jsonable(trace), sort_keys=True) for trace in traces]
+    except RecursionError:
+        print("error: output nested too deeply to render", file=sys.stderr)
+        return EXIT_INPUT
+    for line in lines:
+        print(line)
     return EXIT_OK if unifiers else EXIT_NEGATIVE
 
 

@@ -95,16 +95,20 @@ def resolve(bindings: Mapping[str, Term]) -> tuple[tuple[str, ...], Substitution
     return tuple(solved.bindings), Substitution({x: solved.bindings[x] for x in bindings})
 
 
-def _solve(eqs: list[tuple[Term, Term]]) -> Substitution | None:
-    """First-order unification by decomposition with occurs check.
+def extend_bindings(
+    eqs: Iterable[tuple[Term, Term]], bindings: Mapping[str, Term] = {}
+) -> dict[str, Term] | None:
+    """First-order unification by decomposition with occurs check,
+    continuing from the triangular bindings of an earlier call, which are
+    copied, never changed; None when ``eqs`` have no unifier under them.
 
     Bindings stay triangular (a binding may mention variables bound later)
-    and are resolved once at the end, so the cost stays polynomial when the
-    unifier written as a tree is exponential.  Every constructor, xor
-    included, decomposes positionally, so this is also the free-xor unifier;
-    callers that implement the standard theory reject xor before calling.
+    and are resolved once by the caller, so the cost stays polynomial when
+    the unifier written as a tree is exponential.  Every constructor, xor
+    included, decomposes positionally, so this is also the free-xor
+    unifier; callers that implement the standard theory reject xor first.
     """
-    bindings: dict[str, Term] = {}
+    bindings = dict(bindings)
     work = list(eqs)
     while work:
         s, t = work.pop()
@@ -122,7 +126,13 @@ def _solve(eqs: list[tuple[Term, Term]]) -> Substitution | None:
         if pairs is None:
             return None  # distinct atoms, or a constructor or arity clash
         work.extend(pairs)
-    return resolve(bindings)[1]  # the occurs check keeps the bindings acyclic
+    return bindings
+
+
+def _solve(problems: Iterable[Problem]) -> Substitution | None:
+    bindings = extend_bindings([(p.lhs, p.rhs) for p in problems])
+    # the occurs check keeps the bindings acyclic
+    return None if bindings is None else resolve(bindings)[1]
 
 
 def unify_std(problems: Iterable[Problem]) -> Substitution | None:
@@ -136,11 +146,11 @@ def unify_std(problems: Iterable[Problem]) -> Substitution | None:
     probs = list(problems)
     if not all(is_pure(side, Theory.STD) for p in probs for side in (p.lhs, p.rhs)):
         raise ImpureTermError("xor subterm in a standard-theory problem")
-    return _solve([(p.lhs, p.rhs) for p in probs])
+    return _solve(probs)
 
 
 def unify_free_xor(problems: Iterable[Problem]) -> Substitution | None:
     """Syntactic unification treating xor as an ordinary free symbol: xor
     nodes unify only with xor nodes of the same width, summand by summand in
     the written order."""
-    return _solve([(p.lhs, p.rhs) for p in problems])
+    return _solve(problems)

@@ -14,13 +14,13 @@ from taggedunify.bsca import (
     _fresh_const,
     _std_definitions,
     combine_unifiers,
+    node_bound,
     purify_problems,
     purify_terms,
     solve_systems,
     split_problems,
     unify_combined,
     variable_identifications,
-    xor_precheck,
 )
 from taggedunify.oracle import GenConfig, gen_problem, gen_untagged_set, ground_unifiable
 from taggedunify.terms import (
@@ -39,7 +39,7 @@ from taggedunify.terms import (
     problem_vars,
 )
 from taggedunify.textfmt import jsonable, parse_substitution, parse_term, render_term
-from taggedunify.unify import Substitution
+from taggedunify.unify import Substitution, unify_std
 
 
 def prob(lhs: str, rhs: str) -> Problem:
@@ -383,46 +383,44 @@ class TestUnifyCombined:
     def test_pruning_changes_no_outcomes(self, monkeypatch):
         # counts how often each precheck fires, so the agreement below is
         # known to cover the pure-part precheck and both halves of the
-        # per-partition one: the xor half cuts a subtree at an assignment
-        # of the enumeration, the standard half a yielded partition before
-        # its splits
+        # per-partition one, each cutting a subtree at an assignment of the
+        # enumeration; a node extends a state its root call started
         import taggedunify.bsca as bsca
 
         counts = {}
-        real_identifications, real_solve = bsca.variable_identifications, bsca.solve_systems
-        real_extend = bsca.XorBound.extend
+        real_identifications = bsca.variable_identifications
+        real_eliminate, real_extend_bindings = bsca.forward_eliminate, bsca.extend_bindings
 
         def identifications(problems, cfg, bound):
             counts["identified"] = True
-            for item in real_identifications(problems, cfg, bound):
-                counts["partitions"] += 1
-                yield item
+            yield from real_identifications(problems, cfg, bound)
 
-        def extend(self, *args):
-            pivots = real_extend(self, *args)
-            counts["xor_cut"] += pivots is None
+        def eliminate(rows, *node):
+            pivots = real_eliminate(rows, *node)
+            counts["xor_cut"] += bool(node) and pivots is None
             return pivots
 
-        def solve(*args, **kwargs):
-            counts["solved"] += 1
-            return real_solve(*args, **kwargs)
+        def extend_bindings(eqs, *node):
+            bindings = real_extend_bindings(eqs, *node)
+            counts["std_cut"] += bool(node) and bindings is None
+            return bindings
 
         monkeypatch.setattr(bsca, "variable_identifications", identifications)
-        monkeypatch.setattr(bsca.XorBound, "extend", extend)
-        monkeypatch.setattr(bsca, "solve_systems", solve)
-        pure_fired = xor_cut = std_rejected = 0
+        monkeypatch.setattr(bsca, "forward_eliminate", eliminate)
+        monkeypatch.setattr(bsca, "extend_bindings", extend_bindings)
+        pure_fired = xor_cut = std_cut = 0
         for i in range(40):
             problems = gen_problem(GenConfig(seed=13), i)
             if len(problem_vars(problems)) > 6:
                 continue
-            counts.update(identified=False, xor_cut=0, partitions=0, solved=0)
+            counts.update(identified=False, xor_cut=0, std_cut=0)
             fast = unify_combined(problems, BscaConfig(keep_traces=False))
             pure_fired += not counts["identified"]
             xor_cut += counts["xor_cut"]
-            std_rejected += counts["partitions"] - counts["solved"]
+            std_cut += counts["std_cut"]
             slow = unify_combined(problems, BscaConfig(prune=False, keep_traces=False))
             assert bool(fast.unifiers) == bool(slow.unifiers)
-        assert pure_fired >= 1 and xor_cut >= 1 and std_rejected >= 1
+        assert pure_fired >= 1 and xor_cut >= 1 and std_cut >= 1
 
 
 class TestPrechecks:
@@ -472,25 +470,51 @@ class TestPrechecks:
         assert counts["unify_acun"] <= 3
         assert counts["split_problems"] <= counts["passed"] + 2
 
-    def test_harness_compatibility_runs_only_past_the_xor_bound(self, monkeypatch):
-        # merges are tested for compatibility only where the xor bound
-        # passes; testing every merge and the xor half only at the leaves
-        # made 2,003 unify_std calls on these 60 protocols
+    def test_harness_solves_the_standard_part_once_per_split(self, monkeypatch):
+        # both halves of the per-partition precheck are decided on the node
+        # bound's states, so the standard solver runs only for splits; the
+        # pairwise compatibility of standard definitions and the leaf
+        # standard precheck made 1,059 unify_std calls on these 60 protocols
         import taggedunify.bsca as bsca
         from taggedunify.oracle import run_harness
 
-        calls = 0
-        real_std = bsca.unify_std
+        counts = {"unify_std": 0, "splits": 0}
+        real_std, real_solve = bsca.unify_std, bsca.solve_systems
 
         def std(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+            counts["unify_std"] += 1
             return real_std(*args, **kwargs)
 
+        def solve(*args, **kwargs):
+            for attempt in real_solve(*args, **kwargs):
+                counts["splits"] += 1
+                yield attempt
+
         monkeypatch.setattr(bsca, "unify_std", std)
+        monkeypatch.setattr(bsca, "solve_systems", solve)
         report = run_harness(GenConfig(seed=20_260_809, samples=60))
         assert (report.pairs_total, report.combined_unifiable_pairs) == (160, 3)
-        assert calls <= 1_200
+        assert counts["unify_std"] == counts["splits"] > 0
+
+    def test_item_three_family_enumerates_fewer_partitions(self, monkeypatch):
+        # the standard half of the node bound cuts merges of Xi with Yj
+        # that the leaf precheck used to reject one by one (1,462 partitions
+        # before); the splits of the partitions that pass are unchanged
+        import taggedunify.bsca as bsca
+
+        problems = [prob("[X0, X1]", "[xor(Y0, a0), xor(Y1, a1)]"), prob("[Y0, Y1]", "[X1, X0]")]
+        passed = 0
+        real_identifications = bsca.variable_identifications
+
+        def identifications(*args):
+            nonlocal passed
+            for item in real_identifications(*args):
+                passed += 1
+                yield item
+
+        monkeypatch.setattr(bsca, "variable_identifications", identifications)
+        result = unify_combined(problems)
+        assert (passed, len(result.traces), result.unifiers) == (902, 5_712, [])
 
     def test_rejected_partitions_have_no_successful_split(self):
         tried = {tr.var_id_partition for tr in unify_combined(worked_example()).traces}
@@ -516,11 +540,18 @@ def _grounded_xor_verdict(gamma3, spare):
     return unify_acun([ground.apply_problem(p) for p in g42]) is not None
 
 
+def _leaf_verdict(gamma3, spare):
+    """Both halves of the per-partition precheck on terms, at a leaf."""
+    g41 = split_problems(gamma3)[0]
+    return _grounded_xor_verdict(gamma3, spare) and unify_std(g41) is not None
+
+
 class TestXorPrecheck:
-    """The bound decides each partition as the grounded-term precheck does,
-    which it replaces, and cutting subtrees on it yields exactly the
-    partitions that a leaf-only test on terms keeps; prune-on/off agreement
-    is tested in TestUnifyCombined."""
+    """The node bound decides each partition as the leaf prechecks on terms
+    do, which it replaces: the grounded xor verdict and the standard solve
+    of ``g41``.  Cutting subtrees on it yields exactly the partitions that
+    these leaf tests keep; prune-on/off agreement is tested in
+    TestUnifyCombined."""
 
     @staticmethod
     def inputs():
@@ -532,9 +563,10 @@ class TestXorPrecheck:
             gamma2 = purify_problems(purify_terms(problems))
             if len(problem_vars(gamma2)) > 7:
                 continue
-            bound = xor_precheck(gamma2)
+            bound = node_bound(gamma2)
             if bound is None:
-                assert unify_acun(split_problems(gamma2)[1]) is None
+                std, xor = split_problems(gamma2)
+                assert unify_acun(xor) is None or unify_std(std) is None
                 continue
             taken = set().union(*(const_names_of(p.lhs) | const_names_of(p.rhs) for p in gamma2))
             spare = {v: Const(_fresh_const(v, taken)) for v in sorted(problem_vars(gamma2))}
@@ -542,32 +574,52 @@ class TestXorPrecheck:
 
     def test_bitmask_verdict_matches_grounded_reference(self):
         verdicts = {True: 0, False: 0}
+        std_only = 0
         for gamma2, bound, spare in self.inputs():
             for cfg in (BscaConfig(), BscaConfig(first_only=True)):
                 for partition, gamma3 in variable_identifications(gamma2, cfg):
                     verdict = bound.cut_at(partition) is None
-                    assert verdict == _grounded_xor_verdict(gamma3, spare), (gamma2, partition)
+                    assert verdict == _leaf_verdict(gamma3, spare), (gamma2, partition)
                     verdicts[verdict] += 1
-        assert verdicts[True] and verdicts[False]
+                    std_only += not verdict and _grounded_xor_verdict(gamma3, spare)
+        assert verdicts[True] and verdicts[False] and std_only
 
     def test_node_bound_yields_what_the_leaf_test_keeps(self):
         cut = 0
         for gamma2, bound, spare in self.inputs():
             for cfg in (BscaConfig(), BscaConfig(first_only=True)):
                 unbounded = list(variable_identifications(gamma2, cfg))
-                leaf_only = [item for item in unbounded if _grounded_xor_verdict(item[1], spare)]
+                leaf_only = [item for item in unbounded if _leaf_verdict(item[1], spare)]
                 node_bounded = list(variable_identifications(gamma2, cfg, bound))
                 assert node_bounded == leaf_only, gamma2
                 cut += len(leaf_only) < len(unbounded)
         assert cut
 
     def test_worked_example_partitions_of_interest(self):
-        bound = xor_precheck(purify_terms(worked_example()))
+        bound = node_bound(purify_terms(worked_example()))
         # the exhibited partition leaves w = x, two distinct constants: with
         # W, X and Y each grounded to an atom of its own, Z joining Y's
         # block is the assignment that makes the system inconsistent
         assert bound.cut_at(EXHIBITED_PARTITION) == "Z"
         assert bound.cut_at(SUCCEEDING_PARTITION) is None
+
+
+class TestTracesPinned:
+    def test_generated_unifiers_and_traces(self):
+        # the unifiers and traces of 450 generated sets in both search
+        # modes, pinned, so that a change to the pruning that alters any
+        # attempted branch, its order or its states shows here
+        import hashlib
+
+        results = []
+        for cfg in (BscaConfig(), BscaConfig(first_only=True)):
+            for seed in (1, 4, 61):
+                for i in range(150):
+                    result = unify_combined(gen_problem(GenConfig(seed=seed), i), cfg)
+                    results.append((result.unifiers, result.traces))
+        assert sum(len(traces) for _, traces in results) == 1_318
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "76404ae2460b5d85fea6833d6a51d16535c90e1d05fee7316d6bfeb7ac32d78f"
 
 
 class TestConservativity:

@@ -182,6 +182,39 @@ class TestUnify:
         assert out == ""
 
 
+def deep_unifier(n: int) -> str:
+    """``[V0..Vn-1] ~? [[a, V1]..[a, Vn-1], a]``: an input of depth 2 whose
+    unifier binds ``V0`` to a term ``n`` deep."""
+    lhs = ", ".join(f"V{i}" for i in range(n))
+    rhs = ", ".join([f"[a, V{i}]" for i in range(1, n)] + ["a"])
+    return f"[{lhs}] ~? [{rhs}] @std"
+
+
+class TestDeepOutput:
+    """Run in a fresh process, whose stack depth is the CLI's own: the
+    output's depth, not the input's, passes the recursion limit there."""
+
+    @staticmethod
+    def unify(n, fmt):
+        env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent / "src"))
+        argv = ["-m", "taggedunify.cli", "unify", "--format", fmt, "-e", deep_unifier(n)]
+        done = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_deep_unifier_is_an_output_error(self, fmt):
+        code, out, err = self.unify(360, fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: output nested too deeply to render\n"
+
+    def test_shallower_unifier_prints(self):
+        code, out, err = self.unify(330, "text")
+        assert (code, err) == (0, "")
+        assert out.startswith("{ [a, [a, ") and out.endswith("/V99 }\n")
+
+
 def doubling_chain(n: int) -> str:
     """``[X1..Xn] ~? [[X0,X0]..[Xn-1,Xn-1]]``: its unifier is a DAG of n
     nodes whose text doubles with each variable."""
