@@ -51,7 +51,25 @@ only branches that provably cannot succeed:
   equals adding these equations, since a unifier of them agrees with its
   composition with the renaming; and renaming keeps each standard problem
   on the standard side.  So at a complete partition the bindings are
-  consistent exactly when ``unify_std(g41)`` is not None.
+  consistent exactly when ``unify_std(g41)`` is not None;
+* the root grounding: an xor variable ``v`` with a standard definition is
+  isolated when adding ``v = u`` to the standard part's bindings fails for
+  every other variable ``u`` with a standard definition.  The root adds
+  ``v = a_v`` to the pivots, for a fresh atom ``a_v`` of its own apart
+  from every block's, and ``v`` then no longer makes its block grounded at
+  an assignment.  This is the rule ``anchor(B) = a_B`` applied before ``v``
+  is assigned, and it changes no leaf reached: the standard half cuts
+  every block that holds ``v`` and another variable with a standard
+  definition, so at every leaf that passes it ``v``'s block ``B`` gets no
+  other grounding row, and ``a_v`` occurs in no other row.  With the rows
+  ``member + anchor(B) = 0``, the row ``v = a_v`` is then ``anchor(B) =
+  a_B`` with ``a_B`` renamed ``a_v``, so a leaf's system is consistent
+  exactly when it was without the root rows.  Each node's rows are among
+  those of every leaf below it, so the same leaves are reached, with the
+  same traces, and a root made inconsistent by these rows fails every
+  leaf, which the pure-part precheck's answer then gives at once.  The
+  tagging discipline makes most abstraction variables of xor summands
+  isolated, since distinct tags head their definitions.
 """
 
 from __future__ import annotations
@@ -251,10 +269,12 @@ class NodeBound(Record):
     standard part of a purified problem set, built once, which each
     assignment of a variable to a block extends.
 
-    ``root`` pairs the eliminated rows of the xor part's GF(2) system with
-    the triangular bindings of the standard part's unifier.  ``column`` is
-    each xor variable's column bit and ``grounded`` the variables with a
-    standard definition; block ``j``'s fresh atom is the bit ``atom << j``.
+    ``root`` pairs the eliminated rows of the xor part's GF(2) system, with
+    the root grounding rows of the module docstring, with the triangular
+    bindings of the standard part's unifier.  ``column`` is each xor
+    variable's column bit and ``grounded`` the variables with a standard
+    definition that the root has not grounded; block ``j``'s fresh atom is
+    the bit ``atom << j``.
     """
 
     root: Node
@@ -268,8 +288,8 @@ class NodeBound(Record):
 
         The block's anchor is the column of its first member that has one.
         ``v`` adds ``v + anchor = 0``, and ``anchor = a_j`` once the block
-        has both an anchor and a member with a standard definition, to the
-        pivots, and ``v = block[0]`` to the bindings.
+        has both an anchor and a member of ``grounded``, to the pivots, and
+        ``v = block[0]`` to the bindings.
         """
         pivots, bindings = node
         column, grounded = self.column, self.grounded
@@ -305,9 +325,9 @@ class NodeBound(Record):
 def node_bound(problems: Iterable[Problem]) -> NodeBound | None:
     """The pure-part and per-partition prechecks of the purified set
     ``problems``, read off the solved states of its two parts: None when
-    the GF(2) system of its xor part is inconsistent or its standard part
-    has no unifier (the pure-part precheck), otherwise the
-    :class:`NodeBound` rooted at those states.
+    the GF(2) system of its xor part is inconsistent, alone (the pure-part
+    precheck) or with the root grounding rows, or its standard part has no
+    unifier, otherwise the :class:`NodeBound` rooted at those states.
     """
     std, xor = split_problems(problems)
     system = build_gf2_system(xor)
@@ -318,9 +338,36 @@ def node_bound(problems: Iterable[Problem]) -> NodeBound | None:
     if bindings is None:
         return None
     column = {v: 1 << i for i, v in enumerate(system.variables)}
+    grounded = _std_definitions(std).keys()
+    isolated = _isolated(column, grounded, bindings)
+    # the isolated variables' atoms, then the blocks' above them
+    first = 1 << len(system.atoms)
+    pivots = forward_eliminate([(column[v], first << k) for k, v in enumerate(isolated)], pivots)
+    if pivots is None:
+        return None
     return NodeBound(
-        (pivots, bindings), column, _std_definitions(std).keys(), 1 << len(system.atoms)
+        (pivots, bindings), column, grounded - set(isolated), first << len(isolated)
     )
+
+
+def _isolated(
+    column: dict[str, int], grounded: AbstractSet[str], bindings: dict[str, Term]
+) -> list[str]:
+    """The xor variables with a standard definition that no other variable
+    with one can equal under ``bindings``, in column order.  Each pair is
+    tested at most once, and not once both are known to be joinable; a
+    variable outside the xor part is never isolated, so it counts as
+    joinable from the start."""
+    shared = [v for v in column if v in grounded]
+    others = [u for u in grounded if u not in column]
+    joinable = set(others)
+    for i, v in enumerate(shared):
+        for u in chain(shared[i + 1 :], others):
+            if (v not in joinable or u not in joinable) and extend_bindings(
+                [(Var(v), Var(u))], bindings
+            ) is not None:
+                joinable.update((v, u))
+    return [v for v in shared if v not in joinable]
 
 
 def variable_identifications(

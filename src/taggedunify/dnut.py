@@ -23,7 +23,6 @@ from .terms import (
     Term,
     Xor,
     Zero,
-    decompose,
     iter_subterms,
     map_args,
 )
@@ -171,31 +170,3 @@ def strip_tags(t: Term) -> Term:
                 items.append(strip_tags(item))
         return Xor(tuple(items))
     return map_args(strip_tags, t)
-
-
-def tags_bijection(a: Iterable[Term], b: Iterable[Term]) -> dict | None:
-    """If the two term lists are equal up to a consistent renaming of tag
-    constants, return the tag bijection; otherwise None."""
-    forward: dict[tuple[int, ...], tuple[int, ...]] = {}
-    backward: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def match(s: Term, t: Term) -> bool:
-        if isinstance(s, TagConst) and isinstance(t, TagConst):
-            if forward.get(s.path, t.path) != t.path:
-                return False
-            if backward.get(t.path, s.path) != s.path:
-                return False
-            forward[s.path] = t.path
-            backward[t.path] = s.path
-            return True
-        pairs = decompose(s, t)
-        if pairs is None:
-            return s == t
-        return all(match(x, y) for x, y in pairs)
-
-    la, lb = list(a), list(b)
-    if len(la) != len(lb):
-        return None
-    if not all(match(x, y) for x, y in zip(la, lb)):
-        return None
-    return forward

@@ -18,7 +18,7 @@ from taggedunify.bsca import (
     variable_identifications,
 )
 from taggedunify.cli import main
-from taggedunify.dnut import dnut_check, dnut_tag, tags_bijection
+from taggedunify.dnut import dnut_check, dnut_tag
 from taggedunify.oracle import (
     GenConfig,
     check_theorem,
@@ -42,6 +42,7 @@ from taggedunify.terms import (
 )
 from taggedunify.textfmt import parse_substitution, parse_term
 from taggedunify.unify import ImpureTermError, unify_std
+from test_dnut import tags_bijection
 
 
 def ok(line: str) -> None:

@@ -53,6 +53,17 @@ def worked_example() -> list[Problem]:
 EXHIBITED_PARTITION = (("A",), ("B",), ("N_B",), ("W",), ("X",), ("Y", "Z"))
 SUCCEEDING_PARTITION = (("A",), ("B",), ("N_B",), ("W", "X"), ("Y", "Z"))
 
+# The abstraction W of [c, X] is the only standard-defined xor variable, but
+# U, defined outside the xor part, can share its block under full
+# identification, so W is not grounded at the root
+STD_DEFINED_OUTSIDE_THE_XOR_PART = [prob("U", "[c, Y]"), prob("Z", "xor([c, X], a)")]
+
+# W, the abstraction of [1, X], is grounded at the root, and V, that of
+# [c, Y], is not, since U can equal it.  Under full identification V can
+# join block 0 or 1 or open block 2, after A and U, though the xor part has
+# only two columns; the root's atom must differ from each of these blocks'
+ROOT_ATOM_APART_FROM_BLOCK_ATOMS = [prob("U", "[c, A]"), prob("[1, X] + [c, Y]", "0")]
+
 
 class TestPurifyTerms:
     def test_worked_example_exact_output(self):
@@ -496,6 +507,31 @@ class TestPrechecks:
         assert (report.pairs_total, report.combined_unifiable_pairs) == (160, 3)
         assert counts["unify_std"] == counts["splits"] > 0
 
+    def test_harness_calls_decided_at_the_root(self, monkeypatch):
+        # distinct tags make the summands' abstraction variables isolated,
+        # so the root's grounding rows decide every pair here that has no
+        # unifier; 138 of the 160 calls enumerated identifications before
+        import taggedunify.bsca as bsca
+        import taggedunify.oracle as oracle
+        from taggedunify.oracle import run_harness
+
+        counts = {"calls": 0, "enumerated": 0}
+        real_combined, real_identifications = bsca.unify_combined, bsca.variable_identifications
+
+        def combined(*args, **kwargs):
+            counts["calls"] += 1
+            return real_combined(*args, **kwargs)
+
+        def identifications(*args, **kwargs):
+            counts["enumerated"] += 1
+            yield from real_identifications(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "unify_combined", combined)
+        monkeypatch.setattr(bsca, "variable_identifications", identifications)
+        report = run_harness(GenConfig(seed=20_260_809, samples=60))
+        assert report.combined_unifiable_pairs == 3
+        assert (counts["calls"], counts["enumerated"]) == (160, 3)
+
     def test_item_three_family_enumerates_fewer_partitions(self, monkeypatch):
         # the standard half of the node bound cuts merges of Xi with Yj
         # that the leaf precheck used to reject one by one (1,462 partitions
@@ -554,23 +590,38 @@ class TestXorPrecheck:
     TestUnifyCombined."""
 
     @staticmethod
-    def inputs():
+    def purified_sets():
         """Purified problem sets with at most 7 variables, each with its
-        bound and a spare constant per variable for the grounded reference."""
-        sets = [worked_example()]
+        bound (None when the root decides it) and a spare constant per
+        variable for the grounded reference."""
+        sets = [worked_example(), STD_DEFINED_OUTSIDE_THE_XOR_PART]
+        sets += [ROOT_ATOM_APART_FROM_BLOCK_ATOMS]
         sets += [gen_problem(GenConfig(seed=seed), i) for seed in (1, 13, 61) for i in range(40)]
         for problems in sets:
             gamma2 = purify_problems(purify_terms(problems))
             if len(problem_vars(gamma2)) > 7:
                 continue
-            bound = node_bound(gamma2)
-            if bound is None:
-                std, xor = split_problems(gamma2)
-                assert unify_acun(xor) is None or unify_std(std) is None
-                continue
             taken = set().union(*(const_names_of(p.lhs) | const_names_of(p.rhs) for p in gamma2))
             spare = {v: Const(_fresh_const(v, taken)) for v in sorted(problem_vars(gamma2))}
-            yield gamma2, bound, spare
+            yield gamma2, node_bound(gamma2), spare
+
+    def inputs(self):
+        return [item for item in self.purified_sets() if item[1] is not None]
+
+    def test_no_partition_passes_below_a_failing_root(self):
+        # the root fails when a pure part fails or when the grounding rows
+        # of the isolated variables make the xor part inconsistent; the
+        # second kind is counted, so the root rows are seen to take effect
+        by_rows = 0
+        for gamma2, bound, spare in self.purified_sets():
+            if bound is not None:
+                continue
+            for cfg in (BscaConfig(), BscaConfig(first_only=True)):
+                for _, gamma3 in variable_identifications(gamma2, cfg):
+                    assert not _leaf_verdict(gamma3, spare), gamma2
+            std, xor = split_problems(gamma2)
+            by_rows += unify_acun(xor) is not None and unify_std(std) is not None
+        assert by_rows
 
     def test_bitmask_verdict_matches_grounded_reference(self):
         verdicts = {True: 0, False: 0}

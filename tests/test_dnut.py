@@ -6,15 +6,50 @@ from hypothesis import given, settings
 
 from strategies import terms, xor_terms
 from taggedunify import dnut
-from taggedunify.dnut import dnut_check, dnut_tag, strip_tags, tags_bijection
+from taggedunify.dnut import dnut_check, dnut_tag, strip_tags
 from taggedunify.oracle import GenConfig, gen_raw_protocol
-from taggedunify.terms import ZERO, Penc, Problem, Seq, Term, Xor, iter_subterms
+from taggedunify.terms import (
+    ZERO,
+    Penc,
+    Problem,
+    Seq,
+    TagConst,
+    Term,
+    Xor,
+    decompose,
+    iter_subterms,
+)
 from taggedunify.textfmt import parse_term
 from taggedunify.unify import unify_free_xor
 
 
 def t(src: str) -> Term:
     return parse_term(src)
+
+
+def tags_bijection(a: list[Term], b: list[Term]) -> dict | None:
+    """If the two term lists are equal up to a consistent renaming of tag
+    constants, return the tag bijection; otherwise None."""
+    forward: dict[tuple[int, ...], tuple[int, ...]] = {}
+    backward: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def match(s: Term, t: Term) -> bool:
+        if isinstance(s, TagConst) and isinstance(t, TagConst):
+            if forward.get(s.path, t.path) != t.path:
+                return False
+            if backward.get(t.path, s.path) != s.path:
+                return False
+            forward[s.path] = t.path
+            backward[t.path] = s.path
+            return True
+        pairs = decompose(s, t)
+        if pairs is None:
+            return s == t
+        return all(match(x, y) for x, y in pairs)
+
+    if len(a) != len(b) or not all(match(x, y) for x, y in zip(a, b)):
+        return None
+    return forward
 
 
 ORIGINAL_PROTOCOL = [

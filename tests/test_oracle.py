@@ -412,14 +412,29 @@ class TestCheckTheorem:
         assert report.pairs[0].to_jsonable()["non_variable"] is True
 
     def test_caps_flag_incomplete_never_silent(self):
-        big = " + ".join(f"[{i}, penc(V{i}, k)]" for i in range(1, 8))
-        other = " + ".join(f"[{i}, senc(U{i}, k)]" for i in range(1, 8))
+        # the summands' definitions unify pairwise, so the root grounds no
+        # variable and the 14 abstraction variables reach the partition cap
+        big = " + ".join(f"penc(V{i}, k)" for i in range(1, 8))
+        other = " + ".join(f"penc(U{i}, k)" for i in range(1, 8))
         tight = BscaConfig(max_partition_vars=3, first_only=True, keep_traces=False)
         report = check_theorem(
             [parse_term(big), parse_term(other)], caps=tight
         )
         assert len(report.incomplete) == 1
         assert report.incomplete[0].combined is None
+
+    def test_tagged_summands_are_decided_under_the_caps(self):
+        # distinct tags head the 7+7 summands, so each abstraction variable
+        # is grounded at the root and the xor part clashes there, before the
+        # partition cap applies; this pair was incomplete before that check
+        big = " + ".join(f"[{i}, penc(V{i}, k)]" for i in range(1, 8))
+        other = " + ".join(f"[{i}, senc(U{i}, k)]" for i in range(1, 8))
+        tight = BscaConfig(max_partition_vars=3, first_only=True, keep_traces=False)
+        report = check_theorem(
+            [parse_term(big), parse_term(other)], caps=tight
+        )
+        assert report.incomplete == [] and len(report.pairs) == 1
+        assert report.pairs[0].combined is False
 
 
 class TestCancellationPartnerProbe:
