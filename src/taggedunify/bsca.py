@@ -69,7 +69,10 @@ only branches that provably cannot succeed:
   same traces, and a root made inconsistent by these rows fails every
   leaf, which the pure-part precheck's answer then gives at once.  The
   tagging discipline makes most abstraction variables of xor summands
-  isolated, since distinct tags head their definitions.
+  isolated, since distinct tags head their definitions.  A pair ``v, u``
+  whose head keys clash under the bindings is not tested: bindings only
+  replace variables, so none changes an atom, a constructor or an arity,
+  and terms that differ in one at the same position never unify.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ from .terms import (
     vars_of,
 )
 from .textfmt import _CALLS
-from .unify import Substitution, extend_bindings, resolve, unify_std
+from .unify import Substitution, extend_bindings, head_key, keys_clash, resolve, unify_std
 
 
 class ChoiceSpaceExceeded(Exception):
@@ -355,18 +358,18 @@ def _isolated(
 ) -> list[str]:
     """The xor variables with a standard definition that no other variable
     with one can equal under ``bindings``, in column order.  Each pair is
-    tested at most once, and not once both are known to be joinable; a
-    variable outside the xor part is never isolated, so it counts as
-    joinable from the start."""
+    tested at most once, and not once both are known to be joinable or
+    their head keys clash; a variable outside the xor part is never
+    isolated, so it counts as joinable from the start."""
     shared = [v for v in column if v in grounded]
     others = [u for u in grounded if u not in column]
+    key = {v: head_key(Var(v), bindings) for v in chain(shared, others)}
     joinable = set(others)
     for i, v in enumerate(shared):
         for u in chain(shared[i + 1 :], others):
-            if (v not in joinable or u not in joinable) and extend_bindings(
-                [(Var(v), Var(u))], bindings
-            ) is not None:
-                joinable.update((v, u))
+            if (v not in joinable or u not in joinable) and not keys_clash(key[v], key[u]):
+                if extend_bindings([(Var(v), Var(u))], bindings) is not None:
+                    joinable.update((v, u))
     return [v for v in shared if v not in joinable]
 
 

@@ -27,7 +27,7 @@ from .terms import (
     map_args,
 )
 from .textfmt import render_term
-from .unify import unify_free_xor
+from .unify import head_key, keys_clash, unify_free_xor
 
 
 class DnutViolation(Frozen):
@@ -63,23 +63,25 @@ def dnut_check(terms: Iterable[Term]) -> DnutReport:
     Summand pairs are scanned by occurrence, so a repeated summand inside
     one xor term violates condition 1.  Syntactically identical xor
     subterms are treated as one term, never paired against themselves under
-    condition 2.
+    condition 2.  A summand pair is unified only when its :func:`head_key`
+    values do not clash, so distinct tags decide a pair without unifying.
     """
     xors = list(dict.fromkeys(u for t in terms for u in iter_subterms(t) if isinstance(u, Xor)))
+    keys = [[head_key(it) for it in x.items] for x in xors]
     violations: list[DnutViolation] = []
-    for x in xors:
+    for x, ks in zip(xors, keys):
         items = x.items
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                if _std_unifiable(items[i], items[j]):
+                if not keys_clash(ks[i], ks[j]) and _std_unifiable(items[i], items[j]):
                     violations.append(DnutViolation(1, (items[i], items[j]), (x,)))
         if any(isinstance(it, Zero) for it in items):
             violations.append(DnutViolation(3, (ZERO,), (x,)))
     for i in range(len(xors)):
         for j in range(i + 1, len(xors)):
-            for a in xors[i].items:
-                for b in xors[j].items:
-                    if _std_unifiable(a, b):
+            for a, ka in zip(xors[i].items, keys[i]):
+                for b, kb in zip(xors[j].items, keys[j]):
+                    if not keys_clash(ka, kb) and _std_unifiable(a, b):
                         violations.append(DnutViolation(2, (a, b), (xors[i], xors[j])))
     violations.sort(key=lambda v: v.condition)
     return DnutReport(not violations, violations)

@@ -129,6 +129,31 @@ def extend_bindings(
     return bindings
 
 
+def head_key(t: Term, bindings: Mapping[str, Term] = {}) -> object:
+    """What no extension of ``bindings`` changes about ``t`` (first-symbol
+    indexing): None for a variable, an atom itself, and a compound's
+    constructor, arity and first argument, kept only if a non-variable atom."""
+    t = walk(t, bindings)
+    if isinstance(t, Var):
+        return None
+    args = children(t)
+    if not args:
+        return t
+    first = walk(args[0], bindings)
+    return type(t), len(args), None if isinstance(first, Var) or children(first) else first
+
+
+def keys_clash(a: object, b: object) -> bool:
+    """Whether terms with :func:`head_key` values ``a`` and ``b`` have no
+    common instance: both are defined and differ in the constructor, the
+    arity, or two defined first atoms."""
+    if a is None or b is None or a == b:
+        return False
+    if type(a) is not tuple or type(b) is not tuple:
+        return True
+    return a[:2] != b[:2] or (a[2] is not None and b[2] is not None)
+
+
 def _solve(problems: Iterable[Problem]) -> Substitution | None:
     bindings = extend_bindings([(p.lhs, p.rhs) for p in problems])
     # the occurs check keeps the bindings acyclic

@@ -532,6 +532,42 @@ class TestPrechecks:
         assert report.combined_unifiable_pairs == 3
         assert (counts["calls"], counts["enumerated"]) == (160, 3)
 
+    def test_harness_pair_tests_skipped_on_head_keys(self, monkeypatch):
+        # distinct tags head the summands, so their head keys clash: no
+        # dnut summand pair is unified, and the root's isolation test
+        # unifies 2 pairs of standard definitions (2,492 and 1,837 before)
+        import taggedunify.bsca as bsca
+        import taggedunify.dnut as dnut
+        from taggedunify.oracle import run_harness
+
+        counts = {"std_unifiable": 0, "isolated": 0}
+        real_std_unifiable, real_isolated = dnut._std_unifiable, bsca._isolated
+        real_extend_bindings = bsca.extend_bindings
+        inside = False
+
+        def std_unifiable(a, b):
+            counts["std_unifiable"] += 1
+            return real_std_unifiable(a, b)
+
+        def isolated(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return real_isolated(*args)
+            finally:
+                inside = False
+
+        def extend_bindings(*args):
+            counts["isolated"] += inside
+            return real_extend_bindings(*args)
+
+        monkeypatch.setattr(dnut, "_std_unifiable", std_unifiable)
+        monkeypatch.setattr(bsca, "_isolated", isolated)
+        monkeypatch.setattr(bsca, "extend_bindings", extend_bindings)
+        report = run_harness(GenConfig(seed=20_260_809, samples=60))
+        assert (report.pairs_total, report.combined_unifiable_pairs) == (160, 3)
+        assert counts == {"std_unifiable": 0, "isolated": 2}
+
     def test_item_three_family_enumerates_fewer_partitions(self, monkeypatch):
         # the standard half of the node bound cuts merges of Xi with Yj
         # that the leaf precheck used to reject one by one (1,462 partitions
@@ -653,6 +689,45 @@ class TestXorPrecheck:
         # block is the assignment that makes the system inconsistent
         assert bound.cut_at(EXHIBITED_PARTITION) == "Z"
         assert bound.cut_at(SUCCEEDING_PARTITION) is None
+
+
+class TestHeadKeyPrune:
+    def test_node_bounds_equal_with_and_without_head_keys(self, monkeypatch):
+        # the root's isolation test skips the pairs whose head keys clash;
+        # unifying every pair instead must give the same bound on the
+        # generated sets, on every pair of the first 60 harness protocols,
+        # and on untagged sets, whose summands' definitions can unify
+        import taggedunify.bsca as bsca
+        from taggedunify.oracle import gen_dnut_protocol
+        from taggedunify.terms import sort_key
+
+        def pairs(terms):
+            terms = sorted(set(terms), key=sort_key)
+            return [[Problem(m, t)] for m, t in combinations(terms, 2)
+                    if not isinstance(m, Var) and not isinstance(t, Var)]
+
+        sets = [gen_problem(GenConfig(seed=seed), i) for seed in (1, 4, 61) for i in range(150)]
+        sets += [worked_example(), STD_DEFINED_OUTSIDE_THE_XOR_PART, ROOT_ATOM_APART_FROM_BLOCK_ATOMS]
+        for i in range(60):
+            sets += pairs(gen_dnut_protocol(GenConfig(seed=20_260_809), i))
+            sets += pairs(gen_untagged_set(GenConfig(seed=20_260_809), i))
+        purified = [purify_problems(purify_terms(problems)) for problems in sets]
+        clashes = 0
+        real_keys_clash = bsca.keys_clash
+
+        def keys_clash(a, b):
+            nonlocal clashes
+            clash = real_keys_clash(a, b)
+            clashes += clash
+            return clash
+
+        monkeypatch.setattr(bsca, "keys_clash", keys_clash)
+        with_keys = [node_bound(gamma2) for gamma2 in purified]
+        monkeypatch.setattr(bsca, "keys_clash", lambda a, b: False)
+        without_keys = [node_bound(gamma2) for gamma2 in purified]
+        assert clashes
+        assert with_keys == without_keys
+        assert sum(bound is None for bound in with_keys) > 0
 
 
 class TestTracesPinned:

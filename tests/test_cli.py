@@ -410,6 +410,15 @@ SMOKE = {
     "run_theorem_harness.py": (
         ("--samples", "3"), lambda out: json.loads(out)["samples"] == 3
     ),
+    "search_digest.py": (
+        ("--seeds", "4", "--count", "2"),
+        lambda out: [line.split("\t")[0] for line in out.splitlines()]
+        == ["all", "first_only", "all-unpruned", "first_only-unpruned"]
+        and all(
+            traces.isdigit() and capped == "0" and len(digest) == 64
+            for _, traces, capped, digest in (line.split("\t") for line in out.splitlines())
+        ),
+    ),
 }
 
 

@@ -222,3 +222,29 @@ class TestTagProperties:
         tagged = dnut_tag(protocol)
         assert dnut_check(tagged).satisfied
         assert [strip_tags(m) for m in tagged] == protocol
+
+
+class TestReportsPinned:
+    def test_generated_protocol_reports_with_and_without_head_keys(self, monkeypatch):
+        # the raw, tagged and stripped protocols of seeds 1/4/61 x 300
+        # checked with the head-key prune and with every pair unified; both
+        # give the same reports, pinned by hash, violations in the same order
+        import hashlib
+
+        def digest():
+            h, checked, violations = hashlib.sha256(), 0, 0
+            for seed in (1, 4, 61):
+                for i in range(300):
+                    raw = gen_raw_protocol(GenConfig(seed=seed), i)
+                    tagged = dnut_tag(raw)
+                    for protocol in (raw, tagged, [strip_tags(m) for m in tagged]):
+                        report = dnut_check(protocol)
+                        h.update(repr(report).encode())
+                        checked += 1
+                        violations += len(report.violations)
+            return checked, violations, h.hexdigest()
+
+        pinned = (2_700, 10_880, "c63baf138d2b9ba62f1e5dcd874d4d35c278a0f0cffe92a917fba35419098caf")
+        assert digest() == pinned
+        monkeypatch.setattr(dnut, "keys_clash", lambda a, b: False)
+        assert digest() == pinned

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from strategies import terms, var_names, variables
 from taggedunify.oracle import GenConfig, gen_problem, ground_unifiable
@@ -22,6 +22,9 @@ from taggedunify.textfmt import parse_term
 from taggedunify.unify import (
     ImpureTermError,
     Substitution,
+    extend_bindings,
+    head_key,
+    keys_clash,
     occurs,
     resolve,
     unify_free_xor,
@@ -257,3 +260,47 @@ class TestDoublingChain:
         assert depth == 40
         assert names == {"X0"}
         assert sigma.is_idempotent()
+
+
+class TestHeadKey:
+    """A clash of head keys must mean that the terms have no common
+    instance under the bindings, or a pair test it skips would change a
+    verdict."""
+
+    @given(terms(), terms())
+    def test_clash_means_no_unifier(self, a, b):
+        if keys_clash(head_key(a), head_key(b)):
+            assert extend_bindings([(a, b)]) is None
+
+    @given(
+        st.lists(st.tuples(variables, terms(with_xor=False, max_leaves=4)), min_size=1, max_size=3),
+        terms(),
+        terms(),
+    )
+    def test_clash_means_no_unifier_under_bindings(self, problem, a, b):
+        bindings = extend_bindings(problem)
+        assume(bindings is not None)
+        if keys_clash(head_key(a, bindings), head_key(b, bindings)):
+            assert extend_bindings([(a, b)], bindings) is None
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [("[1, X]", "[1, a]"), ("X", "[1, a]"), ("[Y, a]", "[1, a]"), ("pk(X)", "pk([a])")],
+    )
+    def test_pairs_that_may_unify_do_not_clash(self, a, b):
+        assert not keys_clash(head_key(parse_term(a)), head_key(parse_term(b)))
+
+    def test_keys_read_through_bindings(self):
+        bindings = {"X": parse_term("[1, a]"), "Y": parse_term("2")}
+        x, z = head_key(Var("X"), bindings), head_key(parse_term("[1, Z]"), bindings)
+        assert not keys_clash(x, z)
+        # Y is bound to the tag 2, so [Y, a] can no longer meet [1, a]
+        assert keys_clash(x, head_key(parse_term("[Y, a]"), bindings))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [("[1, X]", "[2, X]"), ("a", "b"), ("a", "[a]"), ("[1, X]", "[1, X, Y]"),
+         ("penc(a, K)", "senc(a, K)"), ("xor(a, X)", "xor(b, Y)")],
+    )
+    def test_fixed_position_clashes(self, a, b):
+        assert keys_clash(head_key(parse_term(a)), head_key(parse_term(b)))
