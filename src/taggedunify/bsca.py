@@ -192,27 +192,33 @@ def _purify_term(
         # to a side too (full signature disjointness), which is what lets
         # identification equate an abstraction variable with a constant's
         # stand-in, as completeness needs
-        if c not in cache:
+        name = cache.get(c)
+        if name is None:
             pure = _purify_term(c, taken, defs, cache)
-            cache[c] = _fresh_var(taken)
-            defs.append(Problem(Var(cache[c]), pure))
-        return Var(cache[c])
+            name = cache[c] = _fresh_var(taken)
+            defs.append(Problem(Var(name), pure))
+        return Var(name)
 
     return map_args(fix, t)
 
 
-def purify_terms(problems: Iterable[Problem]) -> list[Problem]:
+def purify_terms(
+    problems: Iterable[Problem], taken: set[str] | None = None
+) -> list[Problem]:
     """Step 1: make every term pure by abstracting alien subterms into fresh
     variables with defining problems.  Repeated occurrences of one alien
     subterm share the abstraction variable.
 
     A problem whose two sides head into different theories is abstracted on
     the left as well (fresh ``W`` with ``W ~? lhs`` emitted first), so the
-    output is already problem-pure for such inputs.  Fresh names avoid the
-    problems' variables.
+    output is already problem-pure for such inputs.  Fresh names avoid
+    ``taken``, which must hold the problems' variables (computed when None)
+    and is extended in place with the fresh names.  Each of them is used in
+    the output, so ``taken`` then holds exactly its variables.
     """
     probs = list(problems)
-    taken = set(problem_vars(probs))
+    if taken is None:
+        taken = set(problem_vars(probs))
     cache: dict[Term, str] = {}
     out: list[Problem] = []
     for p in probs:
@@ -231,14 +237,17 @@ def purify_terms(problems: Iterable[Problem]) -> list[Problem]:
     return list(dict.fromkeys(out))
 
 
-def purify_problems(problems: Iterable[Problem]) -> list[Problem]:
+def purify_problems(
+    problems: Iterable[Problem], taken: set[str] | None = None
+) -> list[Problem]:
     """Step 2: make both sides of every problem belong to one theory, by
     splitting any leftover cross-theory problem ``s ~? t`` into ``V ~? s``
     and ``V ~? t`` with a fresh variable.  Variables and atoms count as
-    belonging to either theory.  Fresh names avoid the problems'
-    variables."""
+    belonging to either theory.  Fresh names avoid ``taken`` and are added
+    to it, as in :func:`purify_terms`."""
     probs = list(problems)
-    taken = set(problem_vars(probs))
+    if taken is None:
+        taken = set(problem_vars(probs))
     out: list[Problem] = []
     for p in probs:
         lc, rc = side_of(p.lhs), side_of(p.rhs)
@@ -589,9 +598,10 @@ def unify_combined(
     :class:`ChoiceSpaceExceeded` instead of silently truncating.
     """
     probs = list(problems)
-    orig_vars = sorted(problem_vars(probs))
-    gamma1 = purify_terms(probs)
-    gamma2 = purify_problems(gamma1)
+    taken = set(problem_vars(probs))
+    orig_vars = sorted(taken)
+    gamma1 = purify_terms(probs, taken)  # extends taken to gamma1's variables
+    gamma2 = purify_problems(gamma1, taken)
     for p in gamma2:  # purification postconditions, checked every run
         for side in (p.lhs, p.rhs):
             if not (is_pure(side, Theory.STD) or is_pure(side, Theory.ACUN)):

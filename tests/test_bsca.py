@@ -22,7 +22,13 @@ from taggedunify.bsca import (
     unify_combined,
     variable_identifications,
 )
-from taggedunify.oracle import GenConfig, gen_problem, gen_untagged_set, ground_unifiable
+from taggedunify.oracle import (
+    GenConfig,
+    gen_dnut_protocol,
+    gen_problem,
+    gen_untagged_set,
+    ground_unifiable,
+)
 from taggedunify.terms import (
     ZERO,
     Const,
@@ -37,6 +43,7 @@ from taggedunify.terms import (
     equal_mod,
     is_pure,
     problem_vars,
+    sort_key,
 )
 from taggedunify.textfmt import jsonable, parse_substitution, parse_term, render_term
 from taggedunify.unify import Substitution, unify_std
@@ -63,6 +70,13 @@ STD_DEFINED_OUTSIDE_THE_XOR_PART = [prob("U", "[c, Y]"), prob("Z", "xor([c, X], 
 # join block 0 or 1 or open block 2, after A and U, though the xor part has
 # only two columns; the root's atom must differ from each of these blocks'
 ROOT_ATOM_APART_FROM_BLOCK_ATOMS = [prob("U", "[c, A]"), prob("[1, X] + [c, Y]", "0")]
+
+
+def pairs(terms) -> list[list[Problem]]:
+    """One problem set per pair that ``check_theorem`` tests in a term set."""
+    terms = sorted(set(terms), key=sort_key)
+    return [[Problem(m, t)] for m, t in combinations(terms, 2)
+            if not isinstance(m, Var) and not isinstance(t, Var)]
 
 
 class TestPurifyTerms:
@@ -93,6 +107,22 @@ class TestPurifyTerms:
         cfg = GenConfig()
         assert ground_unifiable([prob("xor([1, a], X)", "X")], Theory.COMBINED, cfg) == \
             ground_unifiable(gamma1, Theory.COMBINED, cfg)
+
+    def test_continuing_from_the_callers_names_changes_nothing(self):
+        # unify_combined passes one name set through both steps; after each
+        # step it holds exactly that step's output variables, the names a
+        # fresh walk of the output would give
+        sets = [gen_problem(GenConfig(seed=seed), i) for seed in (1, 4, 61) for i in range(150)]
+        for i in range(60):
+            sets += pairs(gen_dnut_protocol(GenConfig(seed=20_260_809), i))
+        for problems in sets:
+            taken = set(problem_vars(problems))
+            gamma1 = purify_terms(problems, taken)
+            assert gamma1 == purify_terms(problems)
+            assert taken == problem_vars(gamma1)
+            gamma2 = purify_problems(gamma1, taken)
+            assert gamma2 == purify_problems(gamma1)
+            assert taken == problem_vars(gamma2)
 
     def test_every_output_term_is_pure(self):
         gamma1 = purify_terms(
@@ -532,6 +562,26 @@ class TestPrechecks:
         assert report.combined_unifiable_pairs == 3
         assert (counts["calls"], counts["enumerated"]) == (160, 3)
 
+    def test_harness_walks_each_calls_variables_once(self, monkeypatch):
+        # purification continues from the name set unify_combined collects,
+        # so problem_vars runs once per call, and 4 times more in each of
+        # the 3 calls that enumerate identifications
+        import taggedunify.bsca as bsca
+        from taggedunify.oracle import run_harness
+
+        calls = 0
+        real_problem_vars = bsca.problem_vars
+
+        def problem_vars(*args):
+            nonlocal calls
+            calls += 1
+            return real_problem_vars(*args)
+
+        monkeypatch.setattr(bsca, "problem_vars", problem_vars)
+        report = run_harness(GenConfig(seed=20_260_809, samples=60))
+        assert report.pairs_total == 160
+        assert calls == 160 + 12
+
     def test_harness_pair_tests_skipped_on_head_keys(self, monkeypatch):
         # distinct tags head the summands, so their head keys clash: no
         # dnut summand pair is unified, and the root's isolation test
@@ -698,13 +748,6 @@ class TestHeadKeyPrune:
         # generated sets, on every pair of the first 60 harness protocols,
         # and on untagged sets, whose summands' definitions can unify
         import taggedunify.bsca as bsca
-        from taggedunify.oracle import gen_dnut_protocol
-        from taggedunify.terms import sort_key
-
-        def pairs(terms):
-            terms = sorted(set(terms), key=sort_key)
-            return [[Problem(m, t)] for m, t in combinations(terms, 2)
-                    if not isinstance(m, Var) and not isinstance(t, Var)]
 
         sets = [gen_problem(GenConfig(seed=seed), i) for seed in (1, 4, 61) for i in range(150)]
         sets += [worked_example(), STD_DEFINED_OUTSIDE_THE_XOR_PART, ROOT_ATOM_APART_FROM_BLOCK_ATOMS]

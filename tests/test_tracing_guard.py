@@ -11,7 +11,7 @@ import sys
 from taggedunify import cli
 from taggedunify.acun import unify_acun  # noqa: F401  (patched in this module)
 from taggedunify.bsca import unify_combined  # noqa: F401
-from taggedunify.oracle import ground_unifiable, run_harness  # noqa: F401
+from taggedunify.oracle import GenConfig, ground_unifiable, run_harness  # noqa: F401
 from taggedunify.unify import unify_std  # noqa: F401
 
 _BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,6 +40,29 @@ def test_every_traced_name_exists_and_is_restored(capsys):
     assert tracer.stat("textfmt.parse").calls == 1
     for (module, attr, _), original in zip(table, originals):
         assert getattr(importlib.import_module(module), attr) is original
+
+
+# every span one harness pass reaches on the first three protocols, whose
+# pairs include one that enumerates identifications
+HARNESS_SPANS = (
+    "oracle.run_harness", "oracle.gen", "oracle.check_theorem", "oracle.free_unifiable",
+    "dnut.dnut_check", "dnut.dnut_tag", "unify.unify_free_xor", "terms.acun_normal_form",
+    "bsca.unify_combined", "bsca.purify", "bsca.variable_identifications",
+    "bsca.split_problems", "bsca.solve_systems", "bsca.combine_unifiers", "bsca.verify",
+    "unify.unify_std", "acun.unify_acun", "acun.build_gf2_system",
+)
+
+
+def test_harness_reaches_every_span_it_traces():
+    # the traced benchmark run compares counts between two passes, so a name
+    # the package still defines but no longer calls through its module
+    # globals reads 0 in both and passes there; it must fail here
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracing.wrap_table(tracer, __name__)):
+        report = run_harness(GenConfig(seed=20_260_809, samples=3))
+    assert report.combined_unifiable_pairs == 1
+    assert [name for name in HARNESS_SPANS if not tracer.stat(name).calls] == []
 
 
 def _workloads(monkeypatch, name):
