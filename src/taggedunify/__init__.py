@@ -18,8 +18,8 @@ _EXPORTS = {
     " ground_unifiable run_harness",
     "terms": "ZERO Const Penc Pk Problem Senc Seq Sh TagConst Term Theory Var Xor Zero"
     " acun_normal_form equal_mod interms is_pure is_subterm subterms_of_set",
-    "textfmt": "Entry ParseError ProblemFile parse_problem_file parse_substitution"
-    " parse_term render_problem_file render_substitution render_term",
+    "textfmt": "Entry ParseError ProblemFile parse_problem_file parse_term"
+    " render_problem_file render_substitution render_term",
     "unify": "ImpureTermError Substitution unify_free_xor unify_std",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

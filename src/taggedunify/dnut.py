@@ -158,17 +158,3 @@ def dnut_tag(messages: Sequence[Term]) -> list[Term]:
             return out
     raise RuntimeError("tagging failed to satisfy the conditions")
 
-
-def strip_tags(t: Term) -> Term:
-    """Undo :func:`dnut_tag` on a tagged term: unwrap every xor summand of
-    the form ``[tag, ...rest]`` (used by tests to compare structure)."""
-    if isinstance(t, Xor):
-        items = []
-        for item in t.items:
-            if isinstance(item, Seq) and isinstance(item.items[0], TagConst):
-                rest = tuple(strip_tags(u) for u in item.items[1:])
-                items.append(rest[0] if len(rest) == 1 else Seq(rest))
-            else:
-                items.append(strip_tags(item))
-        return Xor(tuple(items))
-    return map_args(strip_tags, t)

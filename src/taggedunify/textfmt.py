@@ -201,27 +201,6 @@ def rendered_length(t: Term, memo: dict[int, int]) -> int:
     return known
 
 
-def parse_substitution(src: str, line: int | None = None) -> Substitution:
-    """Parse ``{ t1/X1, t2/X2 }`` (or ``{}``) into a substitution."""
-    p = _Parser(src, line)
-    p.expect("{")
-    bindings: dict[str, Term] = {}
-    if p.peek()[1] != "}":
-        while True:
-            t = p.term()
-            p.expect("/")
-            kind, val, col = p.take()
-            if kind != "ident" or not (val[0].isupper() or val[0] == "_"):
-                raise ParseError("substitution target must be a variable", line, col)
-            bindings[val] = t
-            if p.peek()[1] != ",":
-                break
-            p.take()
-    p.expect("}")
-    p.end()
-    return Substitution(bindings)
-
-
 def render_substitution(s: Substitution) -> str:
     if not s.bindings:
         return "{}"

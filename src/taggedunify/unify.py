@@ -35,11 +35,6 @@ class Substitution:
     def apply_problem(self, p: Problem) -> Problem:
         return Problem(self.apply(p.lhs), self.apply(p.rhs))
 
-    def is_idempotent(self) -> bool:
-        """Whether no bound variable occurs in a binding; each shared node
-        of a binding is visited once, so a DAG-shaped unifier stays cheap."""
-        return not any(occurs(x, t, {}) for t in self.bindings.values() for x in self.bindings)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self.bindings == other.bindings
 

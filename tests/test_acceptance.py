@@ -40,7 +40,7 @@ from taggedunify.terms import (
     problem_vars,
     xor_of,
 )
-from taggedunify.textfmt import parse_substitution, parse_term
+from taggedunify.textfmt import parse_term, render_substitution
 from taggedunify.unify import ImpureTermError, unify_std
 from test_dnut import tags_bijection
 
@@ -101,8 +101,7 @@ def test_c1_golden_pipeline_steps():
 def test_c2_end_to_end_combined_unifier(capsys):
     t0 = time.perf_counter()
     result = unify_combined(worked_example())
-    expected = parse_substitution("{ b/A, a/B, n_a/N_B }")
-    assert expected in result.unifiers
+    assert "{ b/A, a/B, n_a/N_B }" in map(render_substitution, result.unifiers)
     for sigma in result.unifiers:
         for p in worked_example():
             lhs = acun_normal_form(sigma.apply(p.lhs))

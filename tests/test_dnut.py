@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from strategies import terms, xor_terms
 from taggedunify import dnut
-from taggedunify.dnut import dnut_check, dnut_tag, strip_tags
+from taggedunify.dnut import dnut_check, dnut_tag
 from taggedunify.oracle import GenConfig, gen_raw_protocol
 from taggedunify.terms import (
     ZERO,
@@ -18,6 +18,7 @@ from taggedunify.terms import (
     Xor,
     decompose,
     iter_subterms,
+    map_args,
 )
 from taggedunify.textfmt import parse_term
 from taggedunify.unify import unify_free_xor
@@ -50,6 +51,21 @@ def tags_bijection(a: list[Term], b: list[Term]) -> dict | None:
     if len(a) != len(b) or not all(match(x, y) for x, y in zip(a, b)):
         return None
     return forward
+
+
+def strip_tags(t: Term) -> Term:
+    """Undo :func:`dnut_tag` on a tagged term: unwrap every xor summand of
+    the form ``[tag, ...rest]``, to compare structure with the input."""
+    if isinstance(t, Xor):
+        items = []
+        for item in t.items:
+            if isinstance(item, Seq) and isinstance(item.items[0], TagConst):
+                rest = tuple(strip_tags(u) for u in item.items[1:])
+                items.append(rest[0] if len(rest) == 1 else Seq(rest))
+            else:
+                items.append(strip_tags(item))
+        return Xor(tuple(items))
+    return map_args(strip_tags, t)
 
 
 ORIGINAL_PROTOCOL = [

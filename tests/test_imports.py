@@ -19,7 +19,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 LAZY_LAYERS = {"acun", "bsca", "dnut", "oracle"}
 
-# the package's exports as they were when __init__ imported every module
+# the package's exports as they were when __init__ imported every module,
+# less parse_substitution, deleted since: no program reads a substitution
 EXPORTS = [
     "BoundExceeded", "BscaConfig", "BscaTrace", "ChoiceSpaceExceeded", "CombinedResult",
     "Const", "DnutReport", "DnutViolation", "Entry", "GenConfig", "Gf2System",
@@ -29,7 +30,7 @@ EXPORTS = [
     "bsca", "build_gf2_system", "check_theorem", "combine_unifiers", "dnut", "dnut_check",
     "dnut_tag", "equal_mod", "free_unifiable", "gen_dnut_protocol", "gen_problem",
     "gen_raw_protocol", "gen_untagged_set", "ground_unifiable", "interms", "is_pure",
-    "is_subterm", "oracle", "parse_problem_file", "parse_substitution", "parse_term",
+    "is_subterm", "oracle", "parse_problem_file", "parse_term",
     "purify_problems", "purify_terms", "render_problem_file", "render_substitution",
     "render_term", "run_harness", "solve_systems", "split_problems", "subterms_of_set",
     "terms", "textfmt", "unify", "unify_acun", "unify_combined", "unify_free_xor",
