@@ -25,7 +25,6 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __all__ = sorted([*_EXPORTS, *_HOME])
-__version__ = "0.1.0"
 
 
 def __getattr__(name: str):

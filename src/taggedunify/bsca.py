@@ -78,7 +78,7 @@ only branches that provably cannot succeed:
 from __future__ import annotations
 
 from itertools import chain, count
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .acun import Pivots, build_gf2_system, forward_eliminate, unify_acun
 from .terms import (
@@ -260,15 +260,11 @@ def purify_problems(
     return list(dict.fromkeys(out))
 
 
-def _std_definitions(problems: Iterable[Problem]) -> dict[str, list[Term]]:
-    """Non-variable terms each variable of a standard part is directly
-    equated to."""
-    defs: dict[str, list[Term]] = {}
-    for p in problems:
-        for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
-            if isinstance(a, Var) and not isinstance(b, Var):
-                defs.setdefault(a.name, []).append(b)
-    return defs
+def _std_definitions(problems: Iterable[Problem]) -> set[str]:
+    """The variables of a standard part directly equated to a non-variable
+    term."""
+    return {a.name for p in problems for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs))
+            if isinstance(a, Var) and not isinstance(b, Var)}
 
 
 Partition = tuple[tuple[str, ...], ...]
@@ -291,7 +287,7 @@ class NodeBound(Record):
 
     root: Node
     column: dict[str, int]
-    grounded: AbstractSet[str]
+    grounded: set[str]
     atom: int
 
     def extend(self, node: Node, block: list[str], v: str, j: int) -> Node | None:
@@ -350,7 +346,7 @@ def node_bound(problems: Iterable[Problem]) -> NodeBound | None:
     if bindings is None:
         return None
     column = {v: 1 << i for i, v in enumerate(system.variables)}
-    grounded = _std_definitions(std).keys()
+    grounded = _std_definitions(std)
     isolated = _isolated(column, grounded, bindings)
     # the isolated variables' atoms, then the blocks' above them
     first = 1 << len(system.atoms)
@@ -358,12 +354,12 @@ def node_bound(problems: Iterable[Problem]) -> NodeBound | None:
     if pivots is None:
         return None
     return NodeBound(
-        (pivots, bindings), column, grounded - set(isolated), first << len(isolated)
+        (pivots, bindings), column, grounded.difference(isolated), first << len(isolated)
     )
 
 
 def _isolated(
-    column: dict[str, int], grounded: AbstractSet[str], bindings: dict[str, Term]
+    column: dict[str, int], grounded: set[str], bindings: dict[str, Term]
 ) -> list[str]:
     """The xor variables with a standard definition that no other variable
     with one can equal under ``bindings``, in column order.  Each pair is
@@ -371,7 +367,7 @@ def _isolated(
     their head keys clash; a variable outside the xor part is never
     isolated, so it counts as joinable from the start."""
     shared = [v for v in column if v in grounded]
-    others = [u for u in grounded if u not in column]
+    others = sorted(u for u in grounded if u not in column)
     key = {v: head_key(Var(v), bindings) for v in chain(shared, others)}
     joinable = set(others)
     for i, v in enumerate(shared):
@@ -498,7 +494,7 @@ def solve_systems(
     all_vars = sorted(vars41 | vars42)
     if cfg.prune:  # the role rules of the module docstring
         fixed2 = vars42 - vars41
-        choice = sorted(vars41 & vars42 - _std_definitions(g41).keys())
+        choice = sorted(vars41 & vars42 - _std_definitions(g41))
     else:
         fixed2, choice = set(), all_vars
 

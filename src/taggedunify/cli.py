@@ -12,16 +12,16 @@ The environment variable ``TAGGEDUNIFY_CAPS`` overrides enumeration caps,
 e.g. ``TAGGEDUNIFY_CAPS="partition-vars=12,branches=50000"``.
 
 A process loads only the layers its subcommand runs: ``terms``, ``textfmt``
-and ``unify`` load with this module, each name of ``_LAZY`` from its module
-on first access (``dnut`` adds ``dnut``, ``unify`` ``acun`` and ``bsca``,
-``prove-theorem`` all).  Commands read lazy names off the module object,
-so a wrapper set on this module (a tracer's, say) is what runs.
+and ``unify`` load with this module, and any other name is looked up on the
+package, whose export table loads its module on first access (``dnut`` adds
+``dnut``, ``unify`` ``acun`` and ``bsca``, ``prove-theorem`` all).  Commands
+read these deferred names off the module object, so a wrapper set on this
+module (a tracer's, say) is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
@@ -41,19 +41,9 @@ from .textfmt import (
 )
 from .unify import ImpureTermError, Substitution, unify_free_xor, unify_std
 
-_LAZY = {
-    "unify_acun": "acun", "BscaConfig": "bsca", "unify_combined": "bsca",
-    "dnut_check": "dnut", "dnut_tag": "dnut",
-    "HARNESS_CAPS": "oracle", "GenConfig": "oracle", "run_harness": "oracle",
-}
-
 
 def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-    globals()[name] = value
-    return value
+    return getattr(sys.modules[__package__], name)
 
 
 _cli = sys.modules[__name__]  # this module, also when run as __main__
@@ -196,7 +186,7 @@ def cmd_dnut(args: argparse.Namespace) -> int:
 
 def cmd_prove_theorem(args: argparse.Namespace) -> int:
     cfg = _cli.GenConfig(seed=args.seed, samples=args.samples, max_depth=args.depth)
-    caps = caps_from_env(_cli.HARNESS_CAPS)
+    caps = caps_from_env(_cli.oracle.HARNESS_CAPS)
     population = {"with-sequences": "non-variables"}.get(args.population, args.population)
     report = _cli.run_harness(cfg, caps, population)
     if args.format == "json":

@@ -60,29 +60,28 @@ def _std_unifiable(a: Term, b: Term) -> bool:
 def dnut_check(terms: Iterable[Term]) -> DnutReport:
     """Exhaustively check the three conditions over a set of terms.
 
-    Summand pairs are scanned by occurrence, so a repeated summand inside
-    one xor term violates condition 1.  Syntactically identical xor
-    subterms are treated as one term, never paired against themselves under
-    condition 2.  A summand pair is unified only when its :func:`head_key`
-    values do not clash, so distinct tags decide a pair without unifying.
+    Conditions 1 and 2 are one rule, no two summands unify, and one scan
+    tests both: a summand pair within one xor term violates condition 1, a
+    pair across two condition 2.  Violations are listed by condition, each
+    in scan order.  Summand pairs are scanned by occurrence, so a repeated
+    summand inside one xor term violates condition 1.  Syntactically
+    identical xor subterms are treated as one term, never paired against
+    themselves under condition 2.  A summand pair is unified only when its
+    :func:`head_key` values do not clash, so distinct tags decide a pair
+    without unifying.
     """
     xors = list(dict.fromkeys(u for t in terms for u in iter_subterms(t) if isinstance(u, Xor)))
-    keys = [[head_key(it) for it in x.items] for x in xors]
+    summands = [tuple(zip(x.items, map(head_key, x.items))) for x in xors]
     violations: list[DnutViolation] = []
-    for x, ks in zip(xors, keys):
-        items = x.items
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if not keys_clash(ks[i], ks[j]) and _std_unifiable(items[i], items[j]):
-                    violations.append(DnutViolation(1, (items[i], items[j]), (x,)))
-        if any(isinstance(it, Zero) for it in items):
+    for i, x in enumerate(xors):
+        if any(isinstance(it, Zero) for it in x.items):
             violations.append(DnutViolation(3, (ZERO,), (x,)))
-    for i in range(len(xors)):
-        for j in range(i + 1, len(xors)):
-            for a, ka in zip(xors[i].items, keys[i]):
-                for b, kb in zip(xors[j].items, keys[j]):
+        for j in range(i, len(xors)):
+            condition, enclosing = (1, (x,)) if i == j else (2, (x, xors[j]))
+            for k, (a, ka) in enumerate(summands[i]):
+                for b, kb in summands[j][k + 1 if i == j else 0 :]:
                     if not keys_clash(ka, kb) and _std_unifiable(a, b):
-                        violations.append(DnutViolation(2, (a, b), (xors[i], xors[j])))
+                        violations.append(DnutViolation(condition, (a, b), enclosing))
     violations.sort(key=lambda v: v.condition)
     return DnutReport(not violations, violations)
 

@@ -48,7 +48,7 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<num>\d+(?:\.\d+)*)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>[()\[\]{}+,/])
+      | (?P<op>[()\[\]+,])
     """,
     re.VERBOSE,
 )

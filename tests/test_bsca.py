@@ -672,7 +672,7 @@ def _grounded_xor_verdict(gamma3, spare):
     """The per-partition xor precheck on terms: the partition's xor part with
     every standard-defined variable grounded to its spare constant, solved."""
     g41, g42 = split_problems(gamma3)
-    forced1 = _std_definitions(g41).keys() & problem_vars(g42)
+    forced1 = _std_definitions(g41) & problem_vars(g42)
     ground = Substitution({v: spare[v] for v in forced1})
     return unify_acun([ground.apply_problem(p) for p in g42]) is not None
 

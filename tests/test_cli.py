@@ -1,5 +1,6 @@
 """Every golden example is exercised through the CLI, not only the library."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import taggedunify
 from strategies import terms
+from taggedunify import cli
 from taggedunify.cli import MAX_OUTPUT_CHARS, main
 from taggedunify.terms import Theory
 from taggedunify.textfmt import render_term
@@ -310,6 +313,31 @@ class TestDnut:
             assert code == 0
             assert "satisfied" in out
 
+    def test_violations_by_condition_then_scan_order(self, capsys):
+        # condition 1 by (xor, summand, summand), condition 2 by (xor, xor,
+        # summand, summand): a scan by (xor, summand, xor, summand) would
+        # list X ~ Z before b ~ Y
+        xors = ["xor(X, b)", "xor(c, Y)", "xor(Z, d)"]
+        ordered = [
+            (1, "X", "b", [0]), (1, "c", "Y", [1]), (1, "Z", "d", [2]),
+            (2, "X", "c", [0, 1]), (2, "X", "Y", [0, 1]), (2, "b", "Y", [0, 1]),
+            (2, "X", "Z", [0, 2]), (2, "X", "d", [0, 2]), (2, "b", "Z", [0, 2]),
+            (2, "c", "Z", [1, 2]), (2, "Y", "Z", [1, 2]), (2, "Y", "d", [1, 2]),
+        ]
+        src = "\n".join(xors)
+        code, out, _ = run(capsys, "dnut", "check", "-e", src)
+        assert code == 1
+        assert out.splitlines() == ["12 violation(s)"] + [
+            f"  condition {c}: {a} ~ {b}  (in {'; '.join(xors[k] for k in ks)})"
+            for c, a, b, ks in ordered
+        ]
+        code, out, _ = run(capsys, "dnut", "check", "-e", src, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["violations"] == [
+            {"condition": c, "enclosing": [xors[k] for k in ks], "witness": [a, b]}
+            for c, a, b, ks in ordered
+        ]
+
 
 class TestInputErrors:
     """Every subcommand that reads input maps a missing file and a parse
@@ -330,6 +358,12 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["a/b ~? c", "a ~? {b}"])
+    def test_braces_and_slash_are_not_term_characters(self, capsys, text):
+        code, out, err = run(capsys, "unify", "-e", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unexpected character ")
 
 
 # a problem file of one or two entries, all in one theory
@@ -392,6 +426,33 @@ class TestProveTheorem:
     def test_bad_sample_count_exits_2(self, capsys):
         code, out, err = run(capsys, "prove-theorem", "--samples", "0")
         assert (code, out, err) == (2, "", "error: samples must be >= 1\n")
+
+
+class TestDeferredNames:
+    """The names the commands read off ``taggedunify.cli`` and load on first
+    use resolve to the package's own objects."""
+
+    DEFERRED = ["BscaConfig", "GenConfig", "dnut_check", "dnut_tag", "oracle", "run_harness",
+                "unify_acun", "unify_combined"]
+
+    def test_the_commands_read_these_names(self):
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "_cli"}
+        assert sorted(read) == self.DEFERRED
+
+    @pytest.mark.parametrize("name", DEFERRED)
+    def test_resolves_to_the_packages_object(self, name):
+        assert getattr(cli, name) is getattr(taggedunify, name)
+
+    def test_harness_caps(self):
+        from taggedunify.oracle import HARNESS_CAPS
+
+        assert cli.oracle.HARNESS_CAPS is HARNESS_CAPS
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            cli.no_such_name
 
 
 class TestParse:
