@@ -9,7 +9,7 @@ import importlib
 
 _EXPORTS = {
     "acun": "Gf2System build_gf2_system unify_acun",
-    "bsca": "BscaConfig BscaTrace ChoiceSpaceExceeded CombinedResult combine_unifiers"
+    "bsca": "BscaConfig BscaTrace CombinedResult combine_unifiers"
     " purify_problems purify_terms solve_systems split_problems unify_combined"
     " variable_identifications",
     "dnut": "DnutReport DnutViolation dnut_check dnut_tag",
@@ -20,7 +20,7 @@ _EXPORTS = {
     " acun_normal_form equal_mod interms is_pure is_subterm subterms_of_set",
     "textfmt": "Entry ParseError ProblemFile parse_problem_file parse_term"
     " render_problem_file render_substitution render_term",
-    "unify": "ImpureTermError Substitution unify_free_xor unify_std",
+    "unify": "ChoiceSpaceExceeded ImpureTermError Substitution unify_free_xor unify_std",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

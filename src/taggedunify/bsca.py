@@ -102,11 +102,15 @@ from .terms import (
     vars_of,
 )
 from .textfmt import _CALLS
-from .unify import Substitution, extend_bindings, head_key, keys_clash, resolve, unify_std
-
-
-class ChoiceSpaceExceeded(Exception):
-    """An enumeration cap was hit before the choice space was exhausted."""
+from .unify import (
+    ChoiceSpaceExceeded,
+    Substitution,
+    extend_bindings,
+    head_key,
+    keys_clash,
+    resolve,
+    unify_std,
+)
 
 
 class BscaConfig(Frozen):
@@ -571,14 +575,12 @@ def _finalize(
 
 
 def _canonical_key(sigma: Substitution, orig_vars: Iterable[str]):
-    """Hashable identity of a unifier modulo renaming of fresh variables."""
-    orig = set(orig_vars)
-    renaming: dict[str, Term] = {}
-    for v in sorted(sigma.bindings):
-        for name in sorted(vars_of(sigma.bindings[v]) - orig):
-            if name not in renaming:
-                renaming[name] = Var(f"_p{len(renaming) + 1}")
-    rho = Substitution(renaming)
+    """Hashable identity of a unifier modulo renaming of fresh variables,
+    each to the first of ``_p1, _p2, ...`` that is not an original variable."""
+    taken = set(orig_vars)
+    fresh = [x for v in sorted(sigma.bindings) for x in sorted(vars_of(sigma.bindings[v]) - taken)]
+    placeholders = map("_p{}".format, count(1))
+    rho = Substitution({x: Var(fresh_name(placeholders, taken)) for x in dict.fromkeys(fresh)})
     return frozenset((v, rho.apply(t)) for v, t in sigma.bindings.items())
 
 

@@ -5,8 +5,9 @@ Subcommands: ``unify``, ``dnut check``, ``dnut tag``, ``prove-theorem`` and
 text via ``-e``.  Exit codes: 0 success/unifiable/satisfied, 1 negative
 result, 2 input error (also an ``OSError`` in any subcommand, reading or
 writing), 3 enumeration caps hit or unifiers whose text exceeds
-:data:`MAX_OUTPUT_CHARS`.  :func:`main` is the one place errors map
-to exit codes.
+:data:`MAX_OUTPUT_CHARS`.  :func:`main` maps errors to exit codes, all but
+output nested too deeply to render, which :func:`cmd_unify` maps to 2 itself
+so that :func:`main` does not blame the input.
 
 The environment variable ``TAGGEDUNIFY_CAPS`` overrides enumeration caps,
 e.g. ``TAGGEDUNIFY_CAPS="partition-vars=12,branches=50000"``.
@@ -39,7 +40,7 @@ from .textfmt import (
     rendered_length,
     substitution_to_jsonable,
 )
-from .unify import ImpureTermError, Substitution, unify_free_xor, unify_std
+from .unify import ChoiceSpaceExceeded, ImpureTermError, Substitution, unify_free_xor, unify_std
 
 
 def __getattr__(name: str):
@@ -272,13 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _caps_exceeded() -> tuple[type[Exception], ...]:
-    """The cap errors: the output cap's, and the enumeration caps' once
-    ``bsca``, which raises it, is loaded."""
-    bsca = sys.modules.get(f"{__package__}.bsca")
-    return (OutputTooLarge,) if bsca is None else (OutputTooLarge, bsca.ChoiceSpaceExceeded)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -287,7 +281,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ImpureTermError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _caps_exceeded() as exc:
+    except (OutputTooLarge, ChoiceSpaceExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS
     except RecursionError:

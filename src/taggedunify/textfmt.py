@@ -56,8 +56,6 @@ _TOKEN_RE = re.compile(
 # every compound constructor is written name(args...), except sequences
 _CALLS = {sig.op: cls for cls, sig in SIGNATURE.items() if sig.op and cls is not Seq}
 
-_THEORY_NAMES = {t.value: t for t in Theory}
-
 
 def _tokenize(src: str, line: int | None = None) -> list[tuple[str, str, int]]:
     tokens = []
@@ -233,8 +231,8 @@ _SET_RE = re.compile(r"^set\s+([A-Za-z_][A-Za-z0-9_]*)\s*\{$")
 
 def _parse_theory_name(name: str, lineno: int) -> Theory:
     try:
-        return _THEORY_NAMES[name]
-    except KeyError:
+        return Theory(name)
+    except ValueError:
         raise ParseError(f"unknown theory {name!r}", lineno) from None
 
 

@@ -16,6 +16,10 @@ class ImpureTermError(Exception):
     """A solver was handed a term outside the theory it implements."""
 
 
+class ChoiceSpaceExceeded(Exception):
+    """An enumeration cap was hit before the choice space was exhausted."""
+
+
 class Substitution:
     """Finite map from variable names to terms, kept idempotent: no bound
     variable occurs in any binding's right-hand side, so applying twice is

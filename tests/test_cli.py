@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -108,6 +109,20 @@ class TestUnify:
         assert code == 0
         assert captured == out.replace("_f1", "_f2").replace("_p1", "_f1")
 
+    @pytest.mark.parametrize("text", [
+        "[X1, X2] ~? [xor(a, Y1), {v}] @combined",
+        "X1 ~? [c, xor(a, Y1)] @combined\nZ ~? {v} @combined",
+    ], ids=["one-entry", "two-entries"])
+    def test_unifier_keys_avoid_input_variables(self, capsys, text):
+        # the placeholders that tell unifiers apart modulo renaming are
+        # named _p1, _p2, ...; an input variable of that name must not
+        # merge two unifiers that are not renamings of each other
+        code, out, _ = run(capsys, "unify", "-e", text.format(v="_p1"))
+        assert code == 0
+        code, renamed, _ = run(capsys, "unify", "-e", text.format(v="_q1"))
+        assert code == 0
+        assert out == renamed.replace("_q1", "_p1")
+
     def test_json_output_is_line_delimited(self, capsys):
         code, out, _ = run(
             capsys, "unify", "-e", "xor(X, a) ~? b @acun", "--format", "json"
@@ -149,6 +164,14 @@ class TestUnify:
         )
         assert code == 3
         assert "cap" in err.lower() or "exceed" in err.lower()
+
+    def test_one_cap_error_class(self):
+        # main's exit-3 clause names the class that unify defines; bsca
+        # raises it and the package exports it
+        from taggedunify import bsca, unify
+
+        assert bsca.ChoiceSpaceExceeded is unify.ChoiceSpaceExceeded
+        assert taggedunify.ChoiceSpaceExceeded is unify.ChoiceSpaceExceeded
 
     @pytest.mark.parametrize("entry", ["branches=-1", "partition-vars=-5"])
     def test_negative_cap_is_an_input_error(self, capsys, monkeypatch, entry):
@@ -380,12 +403,17 @@ class TestFuzz:
     exit code, with errors on stderr alone and well-formed JSON lines."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(problem_files, st.sampled_from(["text", "json"]), st.booleans())
-    def test_random_problem_files(self, text, fmt, explain):
+    @given(problem_files, st.sampled_from(["text", "json"]), st.booleans(), st.booleans())
+    def test_random_problem_files(self, text, fmt, explain, capped):
         out, err = io.StringIO(), io.StringIO()
         argv = ["unify", "-e", text, "--format", fmt, *(["--explain"] if explain else [])]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        # a partition cap of 0 sends every @combined entry set that reaches
+        # identification with a variable to exit 3; the environment is
+        # patched here, as hypothesis rejects function-scoped fixtures
+        caps = {"TAGGEDUNIFY_CAPS": "partition-vars=0"} if capped else {}
+        with mock.patch.dict(os.environ, caps):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2, 3)
         if code >= 2:
