@@ -17,13 +17,13 @@ and ``unify`` load with this module, and any other name is looked up on the
 package, whose export table loads its module on first access (``dnut`` adds
 ``dnut``, ``unify`` ``acun`` and ``bsca``, ``prove-theorem`` all).  Commands
 read these deferred names off the module object, so a wrapper set on this
-module (a tracer's, say) is what runs.
+module (a tracer's, say) is what runs.  ``json`` loads only with the first
+JSON line written (``--format json`` and the ``--explain`` traces).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -111,6 +111,14 @@ def _check_output_size(substitutions: Sequence[Substitution]) -> None:
         )
 
 
+def _json_line(value: object) -> str:
+    """``value`` as one line of JSON with sorted keys.  ``json`` is imported
+    here, so a call that writes only text never loads it."""
+    import json
+
+    return json.dumps(value, sort_keys=True)
+
+
 def _problems_and_theory(pf: ProblemFile, flag: str | None) -> tuple[list[Problem], Theory]:
     if not pf.entries:
         raise ValueError("no unification entries in input")
@@ -145,10 +153,10 @@ def cmd_unify(args: argparse.Namespace) -> int:
         _check_output_size(unifiers + printed)
         if args.format == "json":
             dicts = ({"unifier": substitution_to_jsonable(sigma)} for sigma in unifiers)
-            lines = [json.dumps(d, sort_keys=True) for d in dicts]
+            lines = [_json_line(d) for d in dicts]
         else:
             lines = [render_substitution(sigma) for sigma in unifiers] or ["not unifiable"]
-        lines += [json.dumps(jsonable(trace), sort_keys=True) for trace in traces]
+        lines += [_json_line(jsonable(trace)) for trace in traces]
     except RecursionError:
         print("error: output nested too deeply to render", file=sys.stderr)
         return EXIT_INPUT
@@ -168,7 +176,7 @@ def cmd_dnut(args: argparse.Namespace) -> int:
             report = _cli.dnut_check(terms)
             all_ok &= report.satisfied
             if args.format == "json":
-                print(json.dumps({"set": name, **jsonable(report)}, sort_keys=True))
+                print(_json_line({"set": name, **jsonable(report)}))
             else:
                 print(f"{name}: {report.to_text()}" if name else report.to_text())
         return EXIT_OK if all_ok else EXIT_NEGATIVE
@@ -178,7 +186,7 @@ def cmd_dnut(args: argparse.Namespace) -> int:
     if args.format == "json":
         for name, terms in tagged.items():
             rendered = [render_term(t) for t in terms]
-            print(json.dumps({"set": name, "terms": rendered}, sort_keys=True))
+            print(_json_line({"set": name, "terms": rendered}))
     else:
         bare = tagged.pop("", [])
         sys.stdout.write(render_problem_file(ProblemFile(terms=bare, sets=tagged)))
@@ -191,7 +199,7 @@ def cmd_prove_theorem(args: argparse.Namespace) -> int:
     population = {"with-sequences": "non-variables"}.get(args.population, args.population)
     report = _cli.run_harness(cfg, caps, population)
     if args.format == "json":
-        print(json.dumps(report.to_jsonable(), sort_keys=True))
+        print(_json_line(report.to_jsonable()))
     else:
         j = report.to_jsonable()
         print(f"samples: {j['samples']}  seed: {j['seed']}  pairs: {j['pairs_total']}")

@@ -30,12 +30,18 @@ class Record:
     and reports.
 
     A record's fields are its ``__slots__`` when it has them, otherwise its
-    annotations in order, with the class-level values as defaults.  Each
-    class gets its own constructor, which takes the fields by position or
-    keyword and gives each instance its own copy of a list or dict default,
-    and its own ``==``, true for records of one class whose fields are
-    equal; a :class:`Frozen` class also gets its own hash, the hash of its
-    fields' tuple.  They are written per class from its fields, because
+    annotations in order, with the class-level values as defaults.  A slot
+    named with a leading underscore is not a field: it stores a value the
+    constructor derives from the fields, and ``repr``, :meth:`replace`,
+    copying and pickling never show it.  Each class gets its own
+    constructor, which takes the fields by position or keyword and gives
+    each instance its own copy of a list or dict default, and its own
+    ``==``, true for records of one class whose fields are equal; a
+    :class:`Frozen` class also gets its own hash, the hash of its fields'
+    tuple.  A class with a ``_hash`` slot (:class:`Term`, :class:`Problem`)
+    stores that hash at construction, built from its fields' own stored
+    hashes without a walk, and its ``==`` is false at once when the stored
+    hashes differ.  They are written per class from its fields, because
     shared generic ones cost up to half again as much per node, and hashing
     and comparing terms is hot in the solvers' caches and the oracle's sets.
     A class that writes one of these methods itself keeps it.  A record's
@@ -52,46 +58,13 @@ class Record:
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         if "__slots__" in own:
-            cls._fields, defaults = tuple(own["__slots__"]), {}
+            cls._fields = tuple(name for name in own["__slots__"] if not name.startswith("_"))
+            defaults = {}
         else:
             cls._fields = tuple(cls.__annotations__)
             defaults = {name: own[name] for name in cls._fields if name in own}
-        params, body = ["self"], []
-        for name in cls._fields:
-            value = name
-            if name not in defaults:
-                params.append(name)
-            else:
-                params.append(f"{name}=_defaults[{name!r}]")
-                if isinstance(defaults[name], (list, dict)):  # each instance its own copy
-                    value = f"{name}.copy() if {name} is _defaults[{name!r}] else {name}"
-            body.append(f"_set(self, {name!r}, {value})")
-
-        def values(of: str) -> str:
-            return "(" + "".join(f"{of}.{name}, " for name in cls._fields) + ")"
-
-        # the source holds only the class's own field names; values reach
-        # it through the namespace
-        source = "\n".join([
-            f"def __init__({', '.join(params)}):",
-            *(f"    {line}" for line in body or ["pass"]),
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return {values('self')} == {values('other')}",
-            "    return NotImplemented",
-            "def __hash__(self):",
-            f"    return hash({values('self')})",
-        ])
-        # compiled per class, never shared: the interpreter's attribute
-        # caches in a code object serve one class best
-        namespace = {"_set": _set, "_defaults": defaults}
-        exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
-        frozen = cls.__setattr__ is not _set  # Frozen and its subclasses
-        for name in ("__init__", "__eq__", "__hash__") if frozen else ("__init__", "__eq__"):
-            if name not in own:
-                method = namespace[name]
-                method.__qualname__ = f"{cls.__qualname__}.{name}"
-                setattr(cls, name, method)
+        if not hasattr(cls, "_sides"):  # a term's methods wait for its SIGNATURE entry
+            _install(cls, defaults)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -102,14 +75,66 @@ class Record:
         return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, past a frozen __setattr__
+        # copy and pickle rebuild through the constructor, past a frozen
+        # __setattr__, so a stored hash is computed afresh in the process
+        # that unpickles
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _install(cls: type, defaults: dict, sides: str | None = None) -> None:
+    """Compile ``cls``'s constructor, ``==`` and, when frozen, hash from its
+    fields and set those it does not write itself.  ``sides`` is the source
+    of a term's side mask over the constructor's parameters."""
+    params, body = ["self"], []
+    for name in cls._fields:
+        value = name
+        if name not in defaults:
+            params.append(name)
+        else:
+            params.append(f"{name}=_defaults[{name!r}]")
+            if isinstance(defaults[name], (list, dict)):  # each instance its own copy
+                value = f"{name}.copy() if {name} is _defaults[{name!r}] else {name}"
+        body.append(f"_set(self, {name!r}, {value})")
+
+    def values(of: str) -> str:
+        return "(" + "".join(f"{of}{name}, " for name in cls._fields) + ")"
+
+    stored = hasattr(cls, "_hash")
+    if stored:
+        body.append(f"_set(self, '_hash', hash({values('')}))")
+    if sides is not None:
+        body.append(f"_set(self, '_sides', {sides})")
+    fields_equal = f"{values('self.')} == {values('other.')}"
+    # the source holds only the class's own field names; values reach
+    # it through the namespace
+    source = "\n".join([
+        f"def __init__({', '.join(params)}):",
+        *(f"    {line}" for line in body or ["pass"]),
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return self._hash == other._hash and {fields_equal}" if stored else
+        f"        return {fields_equal}",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        "    return self._hash" if stored else f"    return hash({values('self.')})",
+    ])
+    # compiled per class, never shared: the interpreter's attribute
+    # caches in a code object serve one class best
+    namespace = {"_set": _set, "_defaults": defaults}
+    exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
+    frozen = cls.__setattr__ is not _set  # Frozen and its subclasses
+    own = vars(cls)
+    for name in ("__init__", "__eq__", "__hash__") if frozen else ("__init__", "__eq__"):
+        if name not in own:
+            method = namespace[name]
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
 
 
 class Frozen(Record):
     """A record that cannot change after construction: it hashes on its
-    fields, and assigning or deleting a field raises
-    :class:`AttributeError`."""
+    fields (a :class:`Term` or :class:`Problem` stores that hash), and
+    assigning or deleting a field raises :class:`AttributeError`."""
 
     __slots__ = ()
 
@@ -121,9 +146,18 @@ class Frozen(Record):
 
 
 class Term(Frozen):
-    """Base class for all term constructors."""
+    """Base class for all term constructors.
 
-    __slots__ = ()
+    Besides its fields, every node stores two values computed at
+    construction from its arguments' stored ones, so neither walks the term
+    nor recurses, however deep it is: its hash, the same value as its
+    fields' tuple hash, and its side mask, the union of the bits
+    (:data:`_SIDE_BITS`) of the signature sides of its non-atomic subterms,
+    which makes :func:`is_pure` one test.  Neither is a field, and copying
+    or pickling rebuilds both through the constructor.
+    """
+
+    __slots__ = ("_hash", "_sides")
 
 
 class Var(Term):
@@ -150,6 +184,8 @@ class TagConst(Term):
             raise ValueError("tag path must be nonempty")
         if any(part < 1 for part in path):
             raise ValueError("tag path components must be positive integers")
+        _set(self, "_hash", hash((path,)))
+        _set(self, "_sides", 0)
 
 
 class Zero(Term):
@@ -159,9 +195,6 @@ class Zero(Term):
     __slots__ = ()
 
 
-ZERO = Zero()
-
-
 class Seq(Term):
     __slots__ = ("items",)
 
@@ -169,6 +202,11 @@ class Seq(Term):
         _set(self, "items", items)
         if not items:
             raise ValueError("sequence must be nonempty")
+        _set(self, "_hash", hash((items,)))
+        sides = _SIDE_BITS[STD]
+        for item in items:
+            sides |= item._sides
+        _set(self, "_sides", sides)
 
 
 class Penc(Term):
@@ -201,10 +239,16 @@ class Xor(Term):
         _set(self, "items", items)
         if len(items) < 2:
             raise ValueError("xor needs at least two summands")
+        _set(self, "_hash", hash((items,)))
+        sides = _SIDE_BITS[XOR]
+        for item in items:
+            sides |= item._sides
+        _set(self, "_sides", sides)
 
 
 STD = "std"
 XOR = "xor"
+_SIDE_BITS = {STD: 1, XOR: 2}  # each signature side's bit in a term's side mask
 
 
 def _no_args(t: Term) -> tuple[Term, ...]:
@@ -247,6 +291,25 @@ _ARGS = {cls: sig.args for cls, sig in SIGNATURE.items()}
 _ORDER = {cls: rank for rank, cls in enumerate(SIGNATURE)}
 
 
+def _install_terms() -> None:
+    """Give the base and each constructor their methods, which derive a
+    node's side mask from the table: 0 for an atom, else its side's bit and
+    its arguments' masks.  Seq and Xor, the variadic ones, write their own
+    constructors."""
+    _install(Term, {}, "0")
+    for cls, sig in SIGNATURE.items():
+        sides = None
+        if sig.op is None:
+            sides = "0"
+        elif not sig.variadic:
+            sides = " | ".join([str(_SIDE_BITS[sig.side]), *(f"{a}._sides" for a in cls._fields)])
+        _install(cls, {}, sides)
+
+
+_install_terms()
+ZERO = Zero()
+
+
 class Theory(Enum):
     """Equality/unification regime selector.
 
@@ -274,6 +337,12 @@ class Theory(Enum):
         """Whether equality is syntactic: STD and FREE_XOR hold only
         identity equations."""
         return self in (Theory.STD, Theory.FREE_XOR)
+
+
+# per theory, the bits of the sides outside it: none is in a pure term's mask
+_ALIEN_SIDES = {
+    th: sum(bit for side, bit in _SIDE_BITS.items() if side not in th.sides) for th in Theory
+}
 
 
 def side_of(t: Term) -> str | None:
@@ -361,10 +430,9 @@ def is_pure(t: Term, th: Theory) -> bool:
     """True iff every non-atomic subterm's head operator belongs to ``th``.
 
     Variables, constants, tags and the unity element are pure wrt every
-    theory.
+    theory.  One test of the node's stored side mask.
     """
-    sides = th.sides
-    return all(is_atom(u) or side_of(u) in sides for u in iter_subterms(t))
+    return not t._sides & _ALIEN_SIDES[th]
 
 
 def vars_of(t: Term) -> frozenset[str]:
@@ -463,7 +531,7 @@ class Problem(Frozen):
     """A single unification problem: make ``lhs`` and ``rhs`` equal modulo
     whatever theory the caller is working in."""
 
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ("lhs", "rhs", "_hash")
 
 
 def problem_vars(problems: Iterable[Problem]) -> frozenset[str]:

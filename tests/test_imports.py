@@ -88,6 +88,13 @@ class TestExports:
         assert fresh("-c", code).stdout == "[]\n"
 
 
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    """The modules a bare interpreter of this environment loads: ``site``
+    may load more than the interpreter's own start-up does."""
+    return set(fresh("-c", "import sys; print(*sys.modules)").stdout.split())
+
+
 class TestSubcommandImports:
     @pytest.mark.parametrize(
         "argv, lazy",
@@ -97,10 +104,11 @@ class TestSubcommandImports:
             (["dnut", "tag", "golden/protocol_original.terms"], {"dnut"}),
             (["unify", "golden/worked_example.problems"], {"acun", "bsca"}),
             (["unify", "--theory", "std", "-e", "X ~? a"], {"acun", "bsca"}),
+            (["unify", "--format", "json", "golden/worked_example.problems"], {"acun", "bsca"}),
             (["prove-theorem", "--samples", "2"], LAZY_LAYERS),
         ],
     )
-    def test_loaded_layers(self, argv, lazy):
+    def test_loaded_layers(self, argv, lazy, bare_modules):
         code, modules = cli_modules(*argv)
         layers = package_layers(modules)
         assert code in (0, 1)
@@ -110,6 +118,9 @@ class TestSubcommandImports:
         # importing dataclasses, which imports inspect, ast, dis and
         # tokenize, was the largest single start-up cost of these calls
         assert not {"dataclasses", "inspect"} & modules
+        # json, a few ms of each call's start-up, loads only for JSON output
+        if "json" not in bare_modules:
+            assert ("json" in modules) == ("json" in argv)
 
     def test_caps_still_exit_3(self):
         # 48 input variables, far past the default partition cap of 9

@@ -1,6 +1,10 @@
 import copy
 import itertools
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -40,7 +44,9 @@ from taggedunify.terms import (
     subterms_of_set,
 )
 from taggedunify import terms as terms_module
-from taggedunify.textfmt import parse_term
+from taggedunify.bsca import purify_problems, purify_terms
+from taggedunify.textfmt import jsonable, parse_term
+from taggedunify.unify import Substitution
 
 
 def t(src: str) -> Term:
@@ -361,3 +367,92 @@ class TestValueSemantics:
         assert Problem(a, x).replace(rhs=a) == Problem(a, a)
         with pytest.raises(TypeError, match=r"^Penc\.__init__\(\) got an unexpected keyword"):
             Penc(a, x).replace(agent=a)
+
+
+def walked_is_pure(u: Term, th: Theory) -> bool:
+    """Purity by walking every subterm, as :func:`is_pure` was computed
+    before terms stored their side mask: the reference."""
+    return all(is_atom(w) or side_of(w) in th.sides for w in iter_subterms(u))
+
+
+def seq_chain(depth: int) -> Term:
+    """``[[...[X, a]..., a], a]``, ``depth`` sequences deep, built in a loop."""
+    u = Var("X")
+    for _ in range(depth):
+        u = Seq((u, Const("a")))
+    return u
+
+
+# builds a term and a problem from their text, in a process whose string
+# hashes differ from the test's, and prints their pickle in hex
+PICKLE_RUN = """
+import pickle, sys
+from taggedunify.terms import Problem
+from taggedunify.textfmt import parse_term
+u = parse_term(sys.argv[1])
+print(pickle.dumps([u, Problem(u, parse_term("X"))]).hex())
+"""
+
+# unpickles them, in a process with other string hashes again, and checks
+# each against values built there
+UNPICKLE_RUN = """
+import pickle, sys
+from taggedunify.terms import Problem
+from taggedunify.textfmt import parse_term
+u = parse_term(sys.argv[1])
+expected = [u, Problem(u, parse_term("X"))]
+for got, built in zip(pickle.loads(bytes.fromhex(sys.stdin.read())), expected):
+    assert hash(got) == hash(tuple(getattr(got, name) for name in got._fields)), got
+    assert got in {built, parse_term("a")} and got == built, got
+print("ok")
+"""
+
+
+class TestStoredValues:
+    """Each term and problem stores its hash, and each term its side mask,
+    at construction: the same values as computing them afresh, with no walk
+    and no recursion."""
+
+    def test_deep_chain_hashes_and_tests_purity_without_recursion(self):
+        deep, twin = seq_chain(10_000), seq_chain(10_000)
+        assert deep is not twin and hash(deep) == hash(twin) == hash((deep.items,))
+        assert is_pure(deep, Theory.STD) and not is_pure(deep, Theory.ACUN)
+        wrapped = Xor((deep, Var("Y")))
+        assert not is_pure(wrapped, Theory.STD) and not is_pure(wrapped, Theory.ACUN)
+        assert is_pure(wrapped, Theory.COMBINED)
+
+    @given(terms(), terms())
+    def test_is_pure_is_the_walk(self, u, v):
+        built = [u, acun_normal_form(u), map_args(lambda c: v, u)]
+        if not is_atom(u):
+            built.append(rebuild(u, tuple(reversed(children(u)))))
+        built += [Substitution({name: v}).apply(u) for name in ("A", "B", "_t")]
+        for p in purify_problems(purify_terms([Problem(u, v), Problem(v, u)])):
+            built += [p.lhs, p.rhs]
+        for w in built:
+            for th in Theory:
+                assert is_pure(w, th) == walked_is_pure(w, th), (w, th)
+
+    def test_stored_hash_is_rebuilt_in_another_process(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        text = "xor([1.2, n_a, X], penc(sh(A, B), pk(b)), senc(0, k))"
+
+        def run(code: str, seed: str, stdin: str = "") -> str:
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=seed)
+            done = subprocess.run([sys.executable, "-c", code, text], env=env, input=stdin,
+                                  capture_output=True, text=True, timeout=60, check=True)
+            return done.stdout
+
+        assert run(UNPICKLE_RUN, "2", run(PICKLE_RUN, "1")) == "ok\n"
+
+    def test_stored_slots_are_not_fields(self):
+        a, x = Const("a"), Var("X")
+        u = Penc(a, x)
+        p = Problem(u, a)
+        assert (Term._fields, u._fields, p._fields) == ((), ("body", "key"), ("lhs", "rhs"))
+        assert repr(p) == (
+            "Problem(lhs=Penc(body=Const(name='a'), key=Var(name='X')), rhs=Const(name='a'))"
+        )
+        assert u.__reduce__() == (Penc, (a, x)) and p.__reduce__() == (Problem, (u, a))
+        assert u.replace(key=a) == Penc(a, a) and p.replace(rhs=x) == Problem(u, x)
+        assert jsonable(p) == {"lhs": "penc(a, X)", "rhs": "a"}
