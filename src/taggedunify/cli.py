@@ -19,11 +19,19 @@ package, whose export table loads its module on first access (``dnut`` adds
 read these deferred names off the module object, so a wrapper set on this
 module (a tracer's, say) is what runs.  ``json`` loads only with the first
 JSON line written (``--format json`` and the ``--explain`` traces).
+
+:func:`run` is the process entry, for ``python -m`` and the ``taggedunify``
+script.  It flushes stdout itself, so that a write error there exits 2 as
+well, and then freezes every object the call made (``gc.freeze()``): the
+interpreter's final collection would otherwise walk them all only to end
+the process, a few ms of each call.  :func:`main` never freezes, as tests,
+the benchmark and library callers go on using their heaps after it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Sequence
@@ -297,5 +305,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+def run() -> int:
+    """The process entry: :func:`main`, the flush of stdout, then
+    ``gc.freeze()`` (see the module docstring).  Only a process that ends
+    next may call it."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None if the process began with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # what stays buffered goes to the null device at exit, so the
+        # interpreter's own flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_INPUT
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

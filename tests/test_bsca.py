@@ -1,7 +1,7 @@
 """The disjoint-theory combination pipeline, against the worked key-exchange
 example and against the ground oracle."""
 
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import hypothesis.strategies as st
 import pytest
@@ -24,6 +24,8 @@ from taggedunify.bsca import (
 )
 from taggedunify.oracle import (
     GenConfig,
+    _candidate_pool,
+    _clashes,
     gen_dnut_protocol,
     gen_problem,
     gen_untagged_set,
@@ -856,3 +858,39 @@ class TestOracleAgreement:
         result = unify_combined(problems, BscaConfig(first_only=True, keep_traces=False))
         assert result.unifiers
         assert ground_unifiable(problems, Theory.COMBINED, cfg)
+
+
+class TestGroundWitnessCoverage:
+    """Completeness on the ground: every ground solution the oracle's
+    candidate pool holds is an instance of some unifier of the all-unifier
+    output (Baader & Schulz's completeness, checked where the pool is small).
+    Verification checks each unifier's soundness; this is the check that no
+    unifier the search drops leaves a solution uncovered."""
+
+    def test_every_witness_is_an_instance(self):
+        instance_cfg = BscaConfig(first_only=True, keep_traces=False)
+        witnesses = 0
+        for seed in (1, 4, 61):
+            for i in range(60):
+                problems = gen_problem(GenConfig(seed=seed), i)
+                names = sorted(problem_vars(problems))
+                pool, _, _ = _candidate_pool(problems, Theory.COMBINED)
+                # a clash above every variable and xor node holds in every
+                # ground instance, so such a set has no witness to cover
+                if len(pool) ** len(names) > 20_000 or any(_clashes(p) for p in problems):
+                    continue
+                grounds = (Substitution(dict(zip(names, combo)))
+                           for combo in product(pool, repeat=len(names)))
+                solutions = islice((w for w in grounds if all(
+                    equal_mod(w.apply(p.lhs), w.apply(p.rhs), Theory.COMBINED)
+                    for p in problems)), 15)
+                unifiers = unify_combined(problems, BscaConfig(keep_traces=False)).unifiers
+                for w in solutions:
+                    witnesses += 1
+                    # w is ground, so {sigma(x) ~? w(x)} is matching
+                    assert any(
+                        unify_combined([Problem(sigma.apply(Var(x)), w.bindings[x])
+                                        for x in names], instance_cfg).unifiers
+                        for sigma in unifiers
+                    ), (seed, i, w)
+        assert witnesses == 248

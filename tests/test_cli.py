@@ -2,7 +2,9 @@
 
 import ast
 import contextlib
+import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -31,6 +33,24 @@ TRACE_KEYS = {
     "var_split", "beta", "gamma51", "gamma52", "linear_order", "sigma1", "sigma2",
     "combined",
 }
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "golden"
+
+
+def fresh_cli(*argv, caps=None, env_drop=(), stdout=subprocess.PIPE):
+    """``python -m taggedunify.cli *argv`` in a new process at the repo root."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("TAGGEDUNIFY_CAPS", None)
+    if caps is not None:
+        env["TAGGEDUNIFY_CAPS"] = caps
+    for name in env_drop:
+        env.pop(name, None)
+    return subprocess.run(
+        [sys.executable, "-m", "taggedunify.cli", *argv],
+        cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -228,11 +248,7 @@ class TestDeepOutput:
 
     @staticmethod
     def unify(n, fmt):
-        env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent / "src"))
-        argv = ["-m", "taggedunify.cli", "unify", "--format", fmt, "-e", deep_unifier(n)]
-        done = subprocess.run(
-            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
-        )
+        done = fresh_cli("unify", "--format", fmt, "-e", deep_unifier(n))
         return done.returncode, done.stdout, done.stderr
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -492,9 +508,6 @@ class TestParse:
         assert out2 == out
 
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
-
-
 class TestGoldenFiles:
     """Every golden file in the repo runs through the CLI as a file path."""
 
@@ -527,7 +540,7 @@ class TestGoldenFiles:
         assert "not unifiable" in out
 
 
-SCRIPTS = GOLDEN.parent / "scripts"
+SCRIPTS = ROOT / "scripts"
 
 # every script's smoke argv and a check on its stdout
 SMOKE = {
@@ -553,7 +566,7 @@ class TestScripts:
     def test_smoke(self, script):
         assert script in SMOKE, f"{script} has no smoke argv"
         argv, check = SMOKE[script]
-        env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent / "src"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run(
             [sys.executable, str(SCRIPTS / script), *argv],
             env=env, capture_output=True, text=True, timeout=300,
@@ -585,3 +598,75 @@ class TestOutputPinned:
         assert len(records) == 11
         digest = hashlib.sha256("".join(records).encode()).hexdigest()
         assert digest == "0f415f06ac1d4a12724b1b692575c82bb7f0dbd7230f2c62cc15ed69ad86e805"
+
+
+# the golden calls of the benchmark's cli workload, then an input error and
+# a caps case, each with the TAGGEDUNIFY_CAPS it runs under
+ENTRY_CALLS = [
+    (["parse", "golden/worked_example.problems"], None, 0),
+    (["unify", "golden/worked_example.problems"], None, 0),
+    (["unify", "--explain", "golden/worked_example.problems"], None, 0),
+    (["unify", "golden/tag_arithmetic_boundary.problems"], None, 1),
+    (["dnut", "check", "golden/protocol_original.terms"], None, 1),
+    (["dnut", "check", "golden/protocol_tagged.terms"], None, 0),
+    (["dnut", "tag", "golden/protocol_original.terms"], None, 0),
+    (["parse", "-e", "pk("], None, 2),
+    (["unify", "-e", "[X, Y, Z] ~? [penc(a, k), b, xor(c, d)] @combined"],
+     "partition-vars=2", 3),
+]
+
+
+class TestProcessEntry:
+    """``run`` ends each CLI process: it flushes stdout under the exit-2
+    mapping and freezes the heap.  ``main`` must do neither, as its callers
+    go on running."""
+
+    @pytest.mark.parametrize("argv, caps, expected", ENTRY_CALLS,
+                             ids=[" ".join(c[0][:2]) + f" {c[2]}" for c in ENTRY_CALLS])
+    def test_fresh_process_matches_main(self, capsys, monkeypatch, argv, caps, expected):
+        monkeypatch.chdir(ROOT)
+        monkeypatch.delenv("TAGGEDUNIFY_CAPS", raising=False)
+        if caps is not None:
+            monkeypatch.setenv("TAGGEDUNIFY_CAPS", caps)
+        frozen = gc.get_freeze_count()
+        code, out, _ = run(capsys, *argv)
+        assert gc.get_freeze_count() == frozen
+        done = fresh_cli(*argv, caps=caps)
+        assert (done.returncode, done.stdout) == (code, out)
+        assert code == expected
+
+    def test_run_freezes(self):
+        code = ("import gc, sys; from taggedunify import cli; "
+                "sys.argv[1:] = ['parse', '-e', 'a ~? b']; code = cli.run(); "
+                "print(code, gc.get_freeze_count() > 0)")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.stdout.splitlines()[-1] == "0 True"
+
+    # the first output fits the stdout buffer, so it fails only at run's
+    # flush; the second outgrows it and fails in main
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["parse", "golden/worked_example.problems"],
+        ["unify", "-e", "xor(X0, X1, X2, X3, X4, X5, X6) ~? 0 @combined"],
+    ], ids=["at-the-final-flush", "in-main"])
+    def test_write_error_exits_2(self, argv):
+        with open("/dev/full", "w") as full:
+            done = fresh_cli(*argv, env_drop=["PYTHONUNBUFFERED"], stdout=full)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Exception ignored" not in done.stderr
+
+    def test_console_script_is_the_main_blocks_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, name = project["project"]["scripts"]["taggedunify"].partition(":")
+        target = getattr(importlib.import_module(module), name)
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        # raise SystemExit(<entry>())
+        (stmt,) = block.body
+        assert ast.unparse(stmt) == f"raise SystemExit({name}())"
+        assert getattr(cli, name) is target
