@@ -12,6 +12,14 @@ so that :func:`main` does not blame the input.
 The environment variable ``TAGGEDUNIFY_CAPS`` overrides enumeration caps,
 e.g. ``TAGGEDUNIFY_CAPS="partition-vars=12,branches=50000"``.
 
+Arguments are read by :func:`parse_args` from one table, :data:`COMMANDS`,
+by the rules of the argparse parser it replaced, which the tests keep as
+the reference: loading ``argparse``, with the ``gettext`` and ``locale`` it
+imports, and building that parser took about 4 ms of each call.  ``-h`` or
+``--help`` prints :data:`USAGE` to stdout, and a usage error prints a
+``usage:`` line and a ``taggedunify: error:`` line to stderr.  Both return
+from :func:`main`, with 0 and 2, so :func:`run`'s flush covers them too.
+
 A process loads only the layers its subcommand runs: ``terms``, ``textfmt``
 and ``unify`` load with this module, and any other name is looked up on the
 package, whose export table loads its module on first access (``dnut`` adds
@@ -30,10 +38,11 @@ the benchmark and library callers go on using their heaps after it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from .terms import Problem, Theory
@@ -66,6 +75,17 @@ EXIT_CAPS = 3
 # may hold: a unifier is a DAG whose text can double with each variable
 MAX_OUTPUT_CHARS = 1_000_000
 
+# the help text, and the CLI block of README.md word for word
+USAGE = """\
+taggedunify unify [FILE|-] [-e TEXT] [--theory std|acun|free-xor|combined]
+                  [--format text|json] [--explain]
+taggedunify dnut check|tag [FILE|-] [-e TEXT] [--format text|json]
+taggedunify prove-theorem [--samples N] [--seed S] [--depth D]
+                          [--population both|non-variables|with-sequences|no-sequences]
+                          [--format text|json]
+taggedunify parse [FILE|-] [-e TEXT]
+"""
+
 
 class OutputTooLarge(Exception):
     """The text of the substitutions to print exceeds :data:`MAX_OUTPUT_CHARS`."""
@@ -97,13 +117,12 @@ def caps_from_env(base: BscaConfig | None = None) -> BscaConfig:
     return base.replace(**overrides)
 
 
-def _read_input(args: argparse.Namespace) -> str:
+def _read_input(args: SimpleNamespace) -> str:
     if args.expr is not None:
         return args.expr
-    path = getattr(args, "input", None)
-    if path in (None, "-"):
+    if args.input == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -142,7 +161,7 @@ def _problems_and_theory(pf: ProblemFile, flag: str | None) -> tuple[list[Proble
     return [e.problem for e in pf.entries], theory
 
 
-def cmd_unify(args: argparse.Namespace) -> int:
+def cmd_unify(args: SimpleNamespace) -> int:
     pf = parse_problem_file(_read_input(args))
     problems, theory = _problems_and_theory(pf, args.theory)
     caps = caps_from_env()
@@ -173,7 +192,7 @@ def cmd_unify(args: argparse.Namespace) -> int:
     return EXIT_OK if unifiers else EXIT_NEGATIVE
 
 
-def cmd_dnut(args: argparse.Namespace) -> int:
+def cmd_dnut(args: SimpleNamespace) -> int:
     pf = parse_problem_file(_read_input(args))
     # the bare terms form the anonymous set "", which no set block can be named
     sets = ({"": pf.terms} if pf.terms else {}) | pf.sets
@@ -197,11 +216,11 @@ def cmd_dnut(args: argparse.Namespace) -> int:
             print(_json_line({"set": name, "terms": rendered}))
     else:
         bare = tagged.pop("", [])
-        sys.stdout.write(render_problem_file(ProblemFile(terms=bare, sets=tagged)))
+        print(render_problem_file(ProblemFile(terms=bare, sets=tagged)), end="")
     return EXIT_OK
 
 
-def cmd_prove_theorem(args: argparse.Namespace) -> int:
+def cmd_prove_theorem(args: SimpleNamespace) -> int:
     cfg = _cli.GenConfig(seed=args.seed, samples=args.samples, max_depth=args.depth)
     caps = caps_from_env(_cli.oracle.HARNESS_CAPS)
     population = {"with-sequences": "non-variables"}.get(args.population, args.population)
@@ -226,74 +245,160 @@ def cmd_prove_theorem(args: argparse.Namespace) -> int:
     return EXIT_OK if not report.counterexamples else EXIT_NEGATIVE
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
-    sys.stdout.write(render_problem_file(parse_problem_file(_read_input(args))))
+def cmd_parse(args: SimpleNamespace) -> int:
+    print(render_problem_file(parse_problem_file(_read_input(args))), end="")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="taggedunify",
-        description="Equational unification with xor, disjoint-theory "
-        "combination, and the DNUT tagging tools.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """The arguments do not match :data:`COMMANDS`."""
 
-    def add_input(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", nargs="?", default="-", help="input path, or - for stdin")
-        p.add_argument("-e", "--expr", help="inline input text instead of a path")
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
+def cmd_help(args: SimpleNamespace) -> int:
+    print(USAGE, end="")
+    return EXIT_OK
 
-    p_unify = sub.add_parser("unify", help="unify the entries of a problem file")
-    add_input(p_unify)
-    add_format(p_unify)
-    p_unify.add_argument(
-        "--theory",
-        choices=[t.value for t in Theory],
-        help="override the theory of all entries",
-    )
-    p_unify.add_argument(
-        "--explain", action="store_true", help="dump per-branch trace JSON (combined only)"
-    )
-    p_unify.set_defaults(func=cmd_unify)
 
-    p_dnut = sub.add_parser("dnut", help="check or apply the tagging discipline")
-    dnut_sub = p_dnut.add_subparsers(dest="action", required=True)
-    for action, text in (("check", "check the conditions"), ("tag", "retag each set")):
-        p_action = dnut_sub.add_parser(action, help=text)
-        add_input(p_action)
-        add_format(p_action)
-        p_action.set_defaults(func=cmd_dnut)
+_FORMAT = {"--format": (("text", "json"), "text")}
+_INPUT = {"--expr": (str, None), **_FORMAT}
 
-    p_thm = sub.add_parser(
-        "prove-theorem", help="run the tagged-protocol harness and report counterexamples"
-    )
-    p_thm.add_argument("--samples", type=int, default=10_000)
-    p_thm.add_argument("--seed", type=int, default=0)
-    p_thm.add_argument("--depth", type=int, default=3, help="generator depth bound")
-    p_thm.add_argument(
-        "--population",
-        choices=("both", "non-variables", "with-sequences", "no-sequences"),
-        default="both",
-        help="which pairs count (with-sequences is an alias of non-variables)",
-    )
-    add_format(p_thm)
-    p_thm.set_defaults(func=cmd_prove_theorem)
+# each command's handler and options, an option's kind (bool for a switch,
+# int, str for text, or its choices) and default; a command with --expr (-e)
+# also takes one input path, "-" (stdin) by default
+COMMANDS = {
+    "unify": (cmd_unify, {**_INPUT, "--theory": (tuple(t.value for t in Theory), None),
+                          "--explain": (bool, False)}),
+    "dnut check": (cmd_dnut, _INPUT),
+    "dnut tag": (cmd_dnut, _INPUT),
+    "prove-theorem": (cmd_prove_theorem, {
+        "--samples": (int, 10_000), "--seed": (int, 0), "--depth": (int, 3),
+        "--population": (("both", "non-variables", "with-sequences", "no-sequences"), "both"),
+        **_FORMAT}),
+    "parse": (cmd_parse, {"--expr": (str, None)}),
+}
+_SHORT = {"-h": "--help", "-e": "--expr"}
 
-    p_parse = sub.add_parser("parse", help="parse input and print its canonical rendering")
-    add_input(p_parse)
-    p_parse.set_defaults(func=cmd_parse)
 
-    return top
+def _option(arg: str, names: Sequence[str]) -> tuple[str, str | None] | None:
+    """None if ``arg`` is a word, else its option's long name among
+    ``names`` (``arg`` itself if unknown) and the value attached to it
+    (``--opt=VALUE``, ``-eVALUE``, ``-e=VALUE``) or None.  A unique prefix
+    of a long option stands for it."""
+    if arg in ("-", "--") or not arg.startswith("-"):
+        return None
+    if arg.startswith("--"):
+        name, eq, value = arg.partition("=")
+        found = [name] if name in names else [n for n in names if n.startswith(name)]
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif _SHORT.get(arg[:2]) in names:
+        value = arg[2:]
+        return _SHORT[arg[:2]], value[1:] if value.startswith("=") else value or None
+    # a negative number is a word; the pattern is compiled only if one comes
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return arg, None
+
+
+def _help(name: str, value: str | None) -> SimpleNamespace:
+    if value is not None:
+        raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+    return SimpleNamespace(func=cmd_help)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command's handler as ``func`` and each option's value under its
+    name without dashes, with ``input`` and ``action`` where the command
+    has them; ``func`` is :func:`cmd_help` if ``-h`` comes before any error.
+    Raises :class:`UsageError`.
+
+    The rules are argparse's for the parser this table replaced: every
+    argument's kind is read before any is taken, so an ambiguous prefix is
+    an error even after ``-h``; an option's value must be a word; after a
+    first ``--`` every argument is a word; the input is the one word of the
+    first run of words between options; an unknown option and any other
+    word are errors only at the end."""
+    rest, path, unknown = list(argv), [], []
+    while " ".join(path) not in COMMANDS:
+        if not rest:
+            raise UsageError(
+                f"the following arguments are required: {'action' if path else 'command'}")
+        arg = rest.pop(0)
+        name, value = _option(arg, ("--help",)) or (None, arg)
+        if name == "--help":
+            return _help(name, value)
+        if name:
+            unknown.append(arg)
+            continue
+        choices = {c.split()[len(path)]: None for c in COMMANDS if c.split()[:len(path)] == path}
+        if arg not in choices:
+            raise UsageError(f"invalid choice: {arg!r} (choose from {', '.join(choices)})")
+        path.append(arg)
+    func, options = COMMANDS[" ".join(path)]
+    values = {name[2:]: default for name, (_, default) in options.items()}
+    if "--expr" in options:
+        values["input"] = "-"
+    if len(path) > 1:
+        values["action"] = path[1]
+
+    cut = rest.index("--") if "--" in rest else len(rest)
+    tokens = [_option(arg, ("--help", *options)) or (None, arg) for arg in rest[:cut]]
+    runs, loose, words = 0, [], []  # runs of words between options, and their words
+    i, in_run = 0, False
+    while i < len(tokens):
+        name, value = tokens[i]
+        i += 1
+        runs += name is None and not in_run
+        in_run = name is None
+        if name is None:
+            loose.append(value)
+            words.append(value)
+        elif name == "--help":
+            return _help(name, value)
+        elif name not in options:
+            unknown.append(name)
+        elif options[name][0] is bool:
+            if value is not None:
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            values[name[2:]] = True
+        else:
+            kind = options[name][0]
+            if value is None:
+                if i == len(tokens) or tokens[i][0] is not None:
+                    raise UsageError(f"argument {name}: expected one argument")
+                value = tokens[i][1]
+                i += 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"argument {name}: invalid int value: {value!r}") from None
+            elif kind is not str and value not in kind:
+                raise UsageError(f"argument {name}: invalid choice: {value!r}")
+            values[name[2:]] = value
+    if cut < len(rest):  # "--" and the words after it continue or start a run
+        runs += not in_run
+        loose += rest[cut:]
+        words += rest[cut + 1:]
+    if runs > ("input" in values) or len(words) > 1:
+        unknown += loose
+    elif words:
+        values["input"] = words[0]
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(func=func, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage: taggedunify {'|'.join(COMMANDS)} ... (--help lists the options)",
+              f"taggedunify: error: {exc}", sep="\n", file=sys.stderr)
+        return EXIT_INPUT
     except (ParseError, ImpureTermError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

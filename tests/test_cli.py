@@ -1,5 +1,6 @@
 """Every golden example is exercised through the CLI, not only the library."""
 
+import argparse
 import ast
 import contextlib
 import gc
@@ -39,8 +40,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden"
 
 
-def fresh_cli(*argv, caps=None, env_drop=(), stdout=subprocess.PIPE):
-    """``python -m taggedunify.cli *argv`` in a new process at the repo root."""
+def fresh_cli(*argv, caps=None, env_drop=(), stdout=subprocess.PIPE, preexec_fn=None):
+    """``python -m taggedunify.cli *argv`` in a new process at the repo root;
+    ``preexec_fn`` runs in the child before the interpreter starts."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("TAGGEDUNIFY_CAPS", None)
     if caps is not None:
@@ -50,6 +52,7 @@ def fresh_cli(*argv, caps=None, env_drop=(), stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, "-m", "taggedunify.cli", *argv],
         cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -442,6 +445,177 @@ class TestFuzz:
                 json.loads(line)
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser before ``cli.parse_args`` replaced it: the
+    reference that the table's reading must agree with."""
+    top = argparse.ArgumentParser(prog="taggedunify")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def add_input(p: argparse.ArgumentParser) -> None:
+        p.add_argument("input", nargs="?", default="-")
+        p.add_argument("-e", "--expr")
+
+    def add_format(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_unify = sub.add_parser("unify")
+    add_input(p_unify)
+    add_format(p_unify)
+    p_unify.add_argument("--theory", choices=[t.value for t in Theory])
+    p_unify.add_argument("--explain", action="store_true")
+    p_unify.set_defaults(func=cli.cmd_unify)
+
+    p_dnut = sub.add_parser("dnut")
+    dnut_sub = p_dnut.add_subparsers(dest="action", required=True)
+    for action in ("check", "tag"):
+        p_action = dnut_sub.add_parser(action)
+        add_input(p_action)
+        add_format(p_action)
+        p_action.set_defaults(func=cli.cmd_dnut)
+
+    p_thm = sub.add_parser("prove-theorem")
+    p_thm.add_argument("--samples", type=int, default=10_000)
+    p_thm.add_argument("--seed", type=int, default=0)
+    p_thm.add_argument("--depth", type=int, default=3)
+    p_thm.add_argument(
+        "--population",
+        choices=("both", "non-variables", "with-sequences", "no-sequences"),
+        default="both",
+    )
+    add_format(p_thm)
+    p_thm.set_defaults(func=cli.cmd_prove_theorem)
+
+    p_parse = sub.add_parser("parse")
+    add_input(p_parse)
+    p_parse.set_defaults(func=cli.cmd_parse)
+    return top
+
+
+def argparse_reading(argv: list[str]) -> object:
+    """"help", "rejected", or the values the reference parser gives."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            values = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "rejected"
+    del values["command"]
+    return values
+
+
+def table_reading(argv: list[str]) -> object:
+    """"help", "rejected", or the values ``cli.parse_args`` gives."""
+    try:
+        args = cli.parse_args(argv)
+    except cli.UsageError:
+        return "rejected"
+    return "help" if args.func is cli.cmd_help else vars(args)
+
+
+# each option's good values and bad ones, or None for a switch; a value of
+# "--" is left out, as an attached "--" (-e--, --expr=--) reads as [] before
+# Python 3.13 and as "--" from 3.13 on
+OPTION_VALUES = {
+    "--help": None,
+    "--explain": None,
+    "--expr": (["X ~? a @std", "-", "-5", "", "=a", "unify"], ["-x", "-h"]),
+    "--format": (["text", "json"], ["xml", ""]),
+    "--theory": ([t.value for t in Theory], ["ac"]),
+    "--samples": (["3", "-2", " 4"], ["x", "1.5"]),
+    "--seed": (["0", "-7"], ["seven"]),
+    "--depth": (["2", "-1"], [""]),
+    "--population": (["both", "non-variables", "with-sequences", "no-sequences"], ["all"]),
+}
+COMMAND_PATHS = [["unify"], ["dnut", "check"], ["dnut", "tag"], ["prove-theorem"], ["parse"]]
+BAD_PATHS = [[], ["dnut"], ["bogus"], ["dnut", "bogus"], ["-h"], ["--bogus", "unify"]]
+PATH = "golden/worked_example.problems"
+
+
+@st.composite
+def option_words(draw, names: list[str], wild: bool) -> list[str]:
+    """One option of ``names`` as a user may spell it: in full or as a
+    prefix, with ``=VALUE`` or the value after it, and ``-e`` also as
+    ``-e TEXT``, ``-eTEXT`` and ``-e=TEXT``.  A ``wild`` one may also be
+    any option or an unknown one, lack its value, or have a bad one."""
+    if wild:
+        names = [*names, *OPTION_VALUES, "--bogus", "-x"]
+    name = draw(st.sampled_from(names))
+    if name not in OPTION_VALUES:
+        return [draw(st.sampled_from([name, f"{name}=1"]))]
+    spelled = name[:draw(st.integers(3, len(name)))]
+    if OPTION_VALUES[name] is None:
+        forms = [[spelled], [name]] + [["-h"]] * (name == "--help")
+        return draw(st.sampled_from(forms + [[f"{name}=x"]] * wild))
+    good, bad = OPTION_VALUES[name]
+    value = draw(st.sampled_from(good + bad * wild))
+    forms = [[spelled, value], [name, value], [f"{spelled}={value}"]] + [[spelled]] * wild
+    if name == "--expr":
+        forms += [["-e", value], [f"-e{value}"], [f"-e={value}"]]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command path, then options and words in any order: the path, or
+    a ``wild`` one's "-", second path, "--" before the path or alone."""
+    wild = draw(st.booleans())
+    path = draw(st.sampled_from(COMMAND_PATHS + BAD_PATHS * wild))
+    _, own = cli.COMMANDS.get(" ".join(path), (None, {}))
+    names = [*own, "--help"] if wild else list(own)
+    words = [[PATH], ["--", PATH]] + [["-"], ["other.problems"], ["--"]] * wild
+    pieces = draw(st.lists(option_words(names, wild) | st.sampled_from(words), max_size=4))
+    return path + [word for piece in pieces for word in piece]
+
+
+class TestArgumentParity:
+    """``cli.parse_args`` reads every argv as the argparse parser it
+    replaced did: the same verdict (help, rejected or accepted) and, if
+    accepted, the same values."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(argvs())
+    def test_generated_argv(self, argv):
+        assert table_reading(argv) == argparse_reading(argv)
+
+    # argvs the generator draws seldom or never: a "--" after the input was
+    # taken (rejected) or in its run (accepted), "--" as the input, an
+    # ambiguous prefix after -h, help after an unknown option, a command
+    # path in one word, negative numbers, and words with a space
+    @pytest.mark.parametrize("argv", [
+        ["unify", "golden/worked_example.problems", "-e", "x", "--"],
+        ["unify", "-e", "x", "golden/worked_example.problems", "--"],
+        ["unify", "--", "--"],
+        ["unify", "-h", "--ex"],
+        ["--bogus", "dnut", "check", "-h"],
+        ["dnut", "check", "dnut check"],
+        ["dnut check"],
+        ["prove-theorem", "--seed", "-1.5"],
+        ["unify", "-1.5"],
+        ["unify", "-e", "-a b"],
+        ["unify", "-e", "a", "-a b"],
+    ])
+    def test_corner_cases(self, argv):
+        assert table_reading(argv) == argparse_reading(argv)
+
+    def test_readme_block_is_the_help_text(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+        assert block == cli.USAGE
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["dnut", "-h"], ["unify", "--he"]])
+    def test_help_prints_the_usage_text(self, capsys, argv):
+        assert run(capsys, *argv) == (0, cli.USAGE, "")
+
+    @pytest.mark.parametrize("argv", [[], ["dnut"], ["bogus"], ["unify", "--bogus"],
+                                      ["unify", "--format", "xml"], ["unify", "--ex", "a"],
+                                      ["prove-theorem", "--seed", "x"], ["parse", "a", "b"]])
+    def test_usage_error_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: taggedunify ")
+        assert error.startswith("taggedunify: error: ")
+
+
 class TestProveTheorem:
     def test_deterministic_reports(self, capsys):
         args = ["prove-theorem", "--samples", "100", "--seed", "7", "--format", "json"]
@@ -600,8 +774,9 @@ class TestOutputPinned:
         assert digest == "0f415f06ac1d4a12724b1b692575c82bb7f0dbd7230f2c62cc15ed69ad86e805"
 
 
-# the golden calls of the benchmark's cli workload, then an input error and
-# a caps case, each with the TAGGEDUNIFY_CAPS it runs under
+# the golden calls of the benchmark's cli workload, then an input error, a
+# caps case, help and a usage error, each with the TAGGEDUNIFY_CAPS it runs
+# under
 ENTRY_CALLS = [
     (["parse", "golden/worked_example.problems"], None, 0),
     (["unify", "golden/worked_example.problems"], None, 0),
@@ -613,6 +788,8 @@ ENTRY_CALLS = [
     (["parse", "-e", "pk("], None, 2),
     (["unify", "-e", "[X, Y, Z] ~? [penc(a, k), b, xor(c, d)] @combined"],
      "partition-vars=2", 3),
+    (["--help"], None, 0),
+    (["unify", "--bogus", "golden/worked_example.problems"], None, 2),
 ]
 
 
@@ -644,19 +821,30 @@ class TestProcessEntry:
                               text=True, timeout=60)
         assert done.stdout.splitlines()[-1] == "0 True"
 
-    # the first output fits the stdout buffer, so it fails only at run's
-    # flush; the second outgrows it and fails in main
+    # the first and the help text fit the stdout buffer, so they fail only
+    # at run's flush; the second outgrows it and fails in main
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("argv", [
         ["parse", "golden/worked_example.problems"],
         ["unify", "-e", "xor(X0, X1, X2, X3, X4, X5, X6) ~? 0 @combined"],
-    ], ids=["at-the-final-flush", "in-main"])
+        ["--help"],
+    ], ids=["at-the-final-flush", "in-main", "help"])
     def test_write_error_exits_2(self, argv):
         with open("/dev/full", "w") as full:
             done = fresh_cli(*argv, env_drop=["PYTHONUNBUFFERED"], stdout=full)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "Exception ignored" not in done.stderr
+
+    @pytest.mark.parametrize("argv, caps, expected", ENTRY_CALLS,
+                             ids=[" ".join(c[0][:2]) + f" {c[2]}" for c in ENTRY_CALLS])
+    def test_closed_stdout(self, argv, caps, expected):
+        # fd 1 is closed before the interpreter starts, so sys.stdout is
+        # None and the output goes nowhere: the exit code stays that of
+        # the call, with no traceback
+        done = fresh_cli(*argv, caps=caps, stdout=None, preexec_fn=lambda: os.close(1))
+        assert done.returncode == expected
+        assert "Traceback" not in done.stderr
 
     def test_console_script_is_the_main_blocks_entry(self):
         tomllib = pytest.importorskip("tomllib")

@@ -121,6 +121,9 @@ class TestSubcommandImports:
         # json, a few ms of each call's start-up, loads only for JSON output
         if "json" not in bare_modules:
             assert ("json" in modules) == ("json" in argv)
+        # argparse, with the gettext and locale it imports, took about 4 ms
+        # of each call
+        assert not {"argparse", "gettext", "locale"} & (modules - bare_modules)
 
     def test_caps_still_exit_3(self):
         # 48 input variables, far past the default partition cap of 9
